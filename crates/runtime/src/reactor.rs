@@ -13,8 +13,8 @@
 //!
 //! * on Linux, `epoll_create1`/`epoll_ctl`/`epoll_wait` (O(ready)
 //!   scaling, optional edge-triggered mode),
-//! * on every other unix, `poll(2)` over the registration table
-//!   (O(registered) per call, level-triggered only),
+//! * `poll(2)` over the registration table (O(registered) per call,
+//!   level-triggered only) — the only backend on every other unix,
 //!
 //! selected automatically by [`Reactor::new`] or pinned explicitly with
 //! [`Reactor::with_backend`] (CI exercises the `poll` backend on Linux
@@ -33,30 +33,6 @@
 //!   [`Waker`] other threads use to nudge a parked [`Reactor::poll`]
 //!   (completion queues, shutdown). The wake pipe is internal: it never
 //!   appears among returned events.
-//!
-//! The escape hatch mirrors `EXACLIM_MMAP`: `EXACLIM_REACTOR=0` (see
-//! [`reactor_enabled`]) tells reactor *consumers* — the serving layer's
-//! `NetServer` — to fall back to their thread-backed path, for A/B
-//! comparisons and CI coverage of the fallback. The reactor itself stays
-//! usable either way.
-
-/// True when this build target has a reactor backend at all (unix);
-/// other targets always take the thread-backed fallback in reactor
-/// consumers, whatever `EXACLIM_REACTOR` says.
-pub const REACTOR_SUPPORTED: bool = cfg!(unix);
-
-/// True unless `EXACLIM_REACTOR=0` opts out of the event-driven network
-/// path (useful to force the thread-per-connection fallback for A/B
-/// comparisons and CI coverage).
-pub fn reactor_enabled() -> bool {
-    reactor_flag(std::env::var_os("EXACLIM_REACTOR").as_deref())
-}
-
-/// Policy behind [`reactor_enabled`], split out for direct testing: only
-/// the literal value `0` opts out.
-fn reactor_flag(var: Option<&std::ffi::OsStr>) -> bool {
-    var.is_none_or(|v| v != "0")
-}
 
 /// Caller-chosen identity of one registered file descriptor; returned in
 /// every [`Event`] and expired-deadline report. `u64::MAX` is reserved
@@ -898,23 +874,5 @@ mod unix {
             let (events, _, _) = poll_once(&mut r, 1000);
             assert_eq!(events.len(), 1);
         }
-    }
-}
-
-#[cfg(test)]
-mod policy_tests {
-    use super::*;
-
-    #[test]
-    fn reactor_flag_parses() {
-        assert!(reactor_flag(None));
-        assert!(reactor_flag(Some(std::ffi::OsStr::new("1"))));
-        assert!(reactor_flag(Some(std::ffi::OsStr::new(""))));
-        assert!(!reactor_flag(Some(std::ffi::OsStr::new("0"))));
-    }
-
-    #[test]
-    fn support_matches_target() {
-        assert_eq!(REACTOR_SUPPORTED, cfg!(unix));
     }
 }

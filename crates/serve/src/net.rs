@@ -1,20 +1,20 @@
 //! The network front end: a framed-TCP server and client over
 //! [`Server::handle_batch`], speaking the [`crate::wire`] protocol.
 //!
-//! ## Connection lifecycle (event-driven path)
+//! ## Connection lifecycle
 //!
-//! [`NetServer::bind`] opens a listener; [`NetServer::spawn`] starts the
-//! server and returns a [`NetServerHandle`]. On unix (unless
-//! `EXACLIM_REACTOR=0` — see [`exaclim_runtime::reactor::reactor_enabled`]
-//! — or [`NetConfig::reactor`] opts out) the server is **event-driven**:
-//! one reactor thread multiplexes every connection as a nonblocking
-//! frame state machine over an [`exaclim_runtime::reactor::Reactor`]
-//! (raw `epoll`/`poll(2)` FFI, no dependencies):
+//! [`NetServer::bind`] opens a nonblocking listener and the
+//! [`exaclim_runtime::reactor::Reactor`] (raw `epoll`/`poll(2)` FFI, no
+//! dependencies) that will watch it; [`NetServer::spawn`] starts the
+//! server and returns a [`NetServerHandle`]. The server is
+//! **event-driven**: one reactor thread multiplexes every connection as a
+//! nonblocking frame state machine:
 //!
 //! * **header-scan** — bytes accumulate until the fixed 24-byte `ECN1`
 //!   header is present and valid (bad magic/version/kind/cap frames are
 //!   rejected from the header alone, before any payload is buffered),
-//! * **payload-accumulate** — the checksummed payload fills,
+//! * **payload-accumulate** — the checksummed payload fills; the buffer
+//!   grows only as bytes arrive, never to the header's claimed length,
 //! * **dispatch** — the decoded batch is queued to a small fixed set of
 //!   dispatch workers ([`NetConfig::dispatch_threads`]) that run the
 //!   in-process batch (which fans out over the shared worker pool —
@@ -37,10 +37,10 @@
 //! half-open, and slowloris connections are reaped when
 //! [`NetConfig::idle_timeout`] passes without a complete frame (counted
 //! in [`NetStats::reaped_idle`]); connections queued past
-//! [`NetConfig::max_connections`] wait in the listener backlog exactly
-//! as before. Because buffered bytes are re-parsed each time a response
-//! finishes, a client may **pipeline**: write several request frames
-//! before reading the first response — responses come back in order.
+//! [`NetConfig::max_connections`] wait in the listener backlog. Because
+//! buffered bytes are re-parsed each time a response finishes, a client
+//! may **pipeline**: write several request frames before reading the
+//! first response — responses come back in order.
 //!
 //! Transport-level failures (bad magic, version mismatch, oversized or
 //! corrupt frames) are answered best-effort with an error frame and then
@@ -54,18 +54,9 @@
 //! dispatched batch or a partially-written response drain first, and
 //! every thread is joined before `shutdown` returns.
 //!
-//! ## Thread-per-connection fallback
-//!
-//! Off unix, when the reactor cannot start, or when `EXACLIM_REACTOR=0`
-//! / [`NetConfig::reactor`]` = Some(false)` pins it, the server runs the
-//! original thread-per-connection loop: an accept thread admits at most
-//! [`NetConfig::max_connections`] concurrent connections (one
-//! [`exaclim_runtime::sync::Semaphore`] permit each — a flood queues in
-//! the listener backlog) and each connection gets one blocking handler
-//! thread. The same idle deadline applies (enforced via socket read
-//! timeouts), a handler-spawn failure rejects that connection gracefully
-//! ([`NetStats::rejected`]) instead of killing the listener, and the
-//! wire behavior is bit-identical to the event-driven path.
+//! The server needs a readiness reactor, so it runs on unix only; on
+//! other targets [`NetServer::bind`] fails with
+//! [`std::io::ErrorKind::Unsupported`]. The [`Client`] is portable.
 //!
 //! ## Example
 //!
@@ -108,13 +99,11 @@ use crate::product::{ProductData, ProductDescriptor, ScenarioSpec};
 use crate::router::Router;
 use crate::server::{Request, Response, ServeBackend, ServeStats, Server};
 use crate::wire::{self, FrameKind, HEADER_LEN};
-use exaclim_runtime::sync::Semaphore;
+use event::{Reactor, Waker};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{
-    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
-};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -123,31 +112,25 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Maximum concurrently open connections; further clients queue in
-    /// the listener backlog until a slot frees up. On the event-driven
-    /// path a connection costs a registration, not a thread, so this is
-    /// cheap to raise far beyond the old thread-per-connection default.
+    /// the listener backlog until a slot frees up. A connection costs a
+    /// reactor registration, not a thread, so this is cheap to raise.
     pub max_connections: usize,
     /// Reap a connection that goes this long without completing a frame
     /// (while idle or dribbling — slowloris) or without draining any
     /// response bytes (dead peer). `None` disables reaping. Connections
     /// whose batch is still executing are never reaped.
     pub idle_timeout: Option<Duration>,
-    /// Dispatch workers that execute decoded batches on the event-driven
-    /// path (each batch still fans out over the shared worker pool).
-    /// `0` sizes automatically from the pool's thread count.
+    /// Dispatch workers that execute decoded batches (each batch still
+    /// fans out over the shared worker pool). `0` sizes automatically
+    /// from the pool's thread count.
     pub dispatch_threads: usize,
-    /// Force the event-driven reactor path on (`Some(true)`) or off
-    /// (`Some(false)`); `None` follows the platform and the
-    /// `EXACLIM_REACTOR` escape hatch. Unsupported targets always take
-    /// the thread-per-connection fallback.
-    pub reactor: Option<bool>,
     /// Payload bytes per streamed response fragment. Responses larger
-    /// than this go to version-3 peers as a sequence of CRC-checked
-    /// stream frames instead of one monolithic frame, which is what
-    /// bounds per-connection server memory; `0` disables streaming
-    /// (every response is a single frame, as in wire version 2).
+    /// than this go out as a sequence of CRC-checked stream frames
+    /// instead of one monolithic frame, which is what bounds
+    /// per-connection server memory; `0` disables streaming (every
+    /// response is a single [`FrameKind::Response`] frame).
     pub stream_chunk_bytes: usize,
-    /// Overload protection (event-driven path): when this many batches
+    /// Overload protection: when this many batches
     /// are already queued for the dispatch workers, new request frames
     /// are **shed** — answered immediately with one retryable
     /// [`ServeError::Overloaded`] per request instead of joining a queue
@@ -161,14 +144,13 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     /// 4096 connections, 60 s idle deadline, auto-sized dispatch,
-    /// platform-default reactor policy, 256 KiB stream fragments,
-    /// shedding past 1024 queued batches with a 25 ms retry hint.
+    /// 256 KiB stream fragments, shedding past 1024 queued batches with a
+    /// 25 ms retry hint.
     fn default() -> Self {
         Self {
             max_connections: 4096,
             idle_timeout: Some(Duration::from_secs(60)),
             dispatch_threads: 0,
-            reactor: None,
             stream_chunk_bytes: 256 << 10,
             max_dispatch_backlog: 1024,
             shed_retry_after_ms: 25,
@@ -206,8 +188,9 @@ pub struct NetStats {
     /// Connections reaped by the [`NetConfig::idle_timeout`] deadline
     /// (idle keep-alives, half-open peers, slowloris dribblers).
     pub reaped_idle: u64,
-    /// Connections accepted but rejected before service (fd or thread
-    /// exhaustion); the accept loop survives and keeps serving.
+    /// Connections accepted but rejected before service (fd exhaustion,
+    /// a socket that cannot be made nonblocking or registered with the
+    /// reactor); the listener survives and keeps serving.
     pub rejected: u64,
     /// Responses that left as a sequence of stream fragments instead of
     /// one monolithic frame (see [`NetConfig::stream_chunk_bytes`]).
@@ -325,8 +308,8 @@ impl NetStatCells {
     }
 }
 
-/// State shared between the serving threads (reactor + dispatch workers,
-/// or accept loop + connection handlers) and the [`NetServerHandle`].
+/// State shared between the serving threads (reactor + dispatch workers)
+/// and the [`NetServerHandle`].
 struct NetShared {
     /// What decoded batches execute on: an in-process [`Server`]
     /// ([`NetServer::bind`]) or a [`Router`] scatter-gathering over
@@ -336,32 +319,16 @@ struct NetShared {
     /// (`None` behind [`NetServer::bind_router`]).
     server: Option<Arc<Server>>,
     stats: NetStatCells,
-    /// Set when shutdown begins. The event-driven path observes it on
-    /// the next wakeup; the threaded path sets and re-checks it under
-    /// the `open_conns` lock so no connection slips past the drain.
+    /// Set when shutdown begins; the reactor observes it on the next
+    /// wakeup.
     shutdown: AtomicBool,
-    /// Threaded path only: one `(token, clone)` per open connection, so
-    /// shutdown can unblock handlers parked in a read. Tokens are
-    /// accept-loop sequence numbers: handlers deregister by token, never
-    /// by address (peer addresses can be unreadable on already-reset
-    /// sockets).
-    open_conns: Mutex<Vec<(u64, TcpStream)>>,
-}
-
-impl NetShared {
-    /// Drop one connection's registry entry when its handler exits.
-    fn forget_conn(&self, token: u64) {
-        let mut conns = self.open_conns.lock();
-        if let Some(i) = conns.iter().position(|(t, _)| *t == token) {
-            conns.swap_remove(i);
-        }
-    }
 }
 
 /// A bound-but-not-yet-serving network front end over a [`Server`].
 pub struct NetServer {
     listener: TcpListener,
     addr: SocketAddr,
+    reactor: Reactor,
     shared: Arc<NetShared>,
     config: NetConfig,
 }
@@ -414,15 +381,17 @@ impl NetServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let reactor = Reactor::new()?;
         Ok(Self {
             listener,
             addr,
+            reactor,
             shared: Arc::new(NetShared {
                 backend,
                 server,
                 stats: NetStatCells::default(),
                 shutdown: AtomicBool::new(false),
-                open_conns: Mutex::new(Vec::new()),
             }),
             config,
         })
@@ -433,47 +402,10 @@ impl NetServer {
         self.addr
     }
 
-    /// Start serving and return the controlling handle. Prefers the
-    /// event-driven reactor path (see the module docs); falls back to
-    /// thread-per-connection off unix, under `EXACLIM_REACTOR=0`, when
-    /// [`NetConfig::reactor`] pins it, or if the reactor cannot start.
+    /// Start serving and return the controlling handle: dispatch
+    /// workers plus the reactor thread (see the module docs).
     pub fn spawn(self) -> NetServerHandle {
-        #[cfg(unix)]
-        {
-            let want = self
-                .config
-                .reactor
-                .unwrap_or_else(exaclim_runtime::reactor::reactor_enabled);
-            if want {
-                if let Ok(reactor) = exaclim_runtime::reactor::Reactor::new() {
-                    if self.listener.set_nonblocking(true).is_ok() {
-                        return event::spawn_event(self, reactor);
-                    }
-                }
-            }
-        }
-        self.spawn_threaded()
-    }
-
-    /// The thread-per-connection fallback: a dedicated accept thread,
-    /// one handler thread per admitted connection.
-    fn spawn_threaded(self) -> NetServerHandle {
-        // The listener may have been flipped nonblocking while probing
-        // the reactor path; the blocking accept loop needs it blocking.
-        let _ = self.listener.set_nonblocking(false);
-        let shared = Arc::clone(&self.shared);
-        let addr = self.addr;
-        let accept_thread = std::thread::Builder::new()
-            .name("exaclim-net-accept".to_string())
-            .spawn(move || accept_loop(self.listener, self.shared, self.config))
-            .expect("spawn accept thread");
-        NetServerHandle {
-            addr,
-            shared,
-            threads: vec![accept_thread],
-            #[cfg(unix)]
-            waker: None,
-        }
+        event::spawn(self)
     }
 }
 
@@ -483,10 +415,8 @@ pub struct NetServerHandle {
     addr: SocketAddr,
     shared: Arc<NetShared>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    /// `Some` on the event-driven path: shutdown nudges the reactor
-    /// through its wakeup fd instead of draining a registry.
-    #[cfg(unix)]
-    waker: Option<exaclim_runtime::reactor::Waker>,
+    /// Shutdown nudges the parked reactor through its wakeup fd.
+    waker: Waker,
 }
 
 impl std::fmt::Debug for NetServerHandle {
@@ -531,49 +461,12 @@ impl NetServerHandle {
         if threads.is_empty() {
             return;
         }
-        #[cfg(unix)]
-        if let Some(waker) = self.waker.take() {
-            // Event-driven path: flag, nudge the parked reactor through
-            // the wakeup fd, and join. The reactor closes the listener,
-            // closes idle connections, lets dispatched batches and
-            // half-written responses drain, then stops the dispatch
-            // workers.
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            waker.wake();
-            for t in threads {
-                let _ = t.join();
-            }
-            return;
-        }
-        // Threaded path. Flag and drain under the registry lock: the
-        // accept loop registers new connections under the same lock
-        // after re-checking the flag, so every connection is either
-        // drained here or closed by the loop itself — none can slip
-        // between flag and drain and leave shutdown joining a handler
-        // nobody will ever unblock.
-        let drained: Vec<TcpStream> = {
-            let mut conns = self.shared.open_conns.lock();
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            conns.drain(..).map(|(_, stream)| stream).collect()
-        };
-        // Unblock handlers parked in a frame read: their next read
-        // returns EOF and the handler exits, releasing its permit.
-        for conn in drained {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        // Unblock the accept call itself with a wake-up connection. A
-        // listener bound to an unspecified address (0.0.0.0 / ::) is not
-        // connectable everywhere; aim the wake-up at loopback instead.
-        let wake = if self.addr.ip().is_unspecified() {
-            let ip: IpAddr = match self.addr {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            };
-            SocketAddr::new(ip, self.addr.port())
-        } else {
-            self.addr
-        };
-        let _ = TcpStream::connect(wake);
+        // Flag, nudge the parked reactor through the wakeup fd, and
+        // join. The reactor closes the listener, closes idle connections,
+        // lets dispatched batches and half-written responses drain, then
+        // stops the dispatch workers.
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.waker.wake();
         for t in threads {
             let _ = t.join();
         }
@@ -587,13 +480,45 @@ impl Drop for NetServerHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Event-driven path: nonblocking frame state machines over the reactor
+// The event loop: nonblocking frame state machines over the reactor
 // ---------------------------------------------------------------------------
+
+/// Off unix there is no readiness reactor: [`Reactor::new`] reports
+/// `Unsupported`, so [`NetServer::bind`] fails and nothing else here can
+/// ever run.
+#[cfg(not(unix))]
+mod event {
+    use super::{NetServer, NetServerHandle};
+    use std::io;
+
+    pub(super) enum Reactor {}
+    pub(super) enum Waker {}
+
+    impl Reactor {
+        pub(super) fn new() -> io::Result<Self> {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the ECN1 server needs a unix readiness reactor (epoll or poll(2))",
+            ))
+        }
+    }
+
+    impl Waker {
+        pub(super) fn wake(&self) {
+            match *self {}
+        }
+    }
+
+    pub(super) fn spawn(server: NetServer) -> NetServerHandle {
+        match server.reactor {}
+    }
+}
 
 #[cfg(unix)]
 mod event {
     use super::*;
-    use exaclim_runtime::reactor::{Interest, Mode, Reactor, Token, Waker};
+    use exaclim_runtime::reactor::{Interest, Mode, Token};
+    pub(super) use exaclim_runtime::reactor::{Reactor, Waker};
     use exaclim_store::crc32;
     use parking_lot::Condvar;
     use std::collections::HashMap;
@@ -607,9 +532,6 @@ mod event {
     struct Job {
         token: u64,
         id: u64,
-        /// Wire version of the request frame; replies mirror it, and it
-        /// decides whether the response may stream.
-        version: u8,
         requests: Vec<Request>,
         /// When the request frame was parsed off the socket. Per-request
         /// deadline budgets ([`Request::WithDeadline`]) count from here,
@@ -624,7 +546,6 @@ mod event {
     struct Completion {
         token: u64,
         id: u64,
-        version: u8,
         body: wire::ResponseBody,
     }
 
@@ -705,7 +626,6 @@ mod event {
             d.completions.lock().push(Completion {
                 token: job.token,
                 id: job.id,
-                version: job.version,
                 body,
             });
             d.waker.wake();
@@ -731,7 +651,7 @@ mod event {
         /// The staged frame and how many of its bytes have left.
         cur: Option<(wire::OutFrame, usize)>,
         /// Response frames count toward `frames_out`/`bytes_out`;
-        /// error frames do not (blocking-path parity).
+        /// error frames do not.
         is_response: bool,
     }
 
@@ -756,9 +676,6 @@ mod event {
         /// there will ever be.
         eof: bool,
         interest: Interest,
-        /// Wire version of the peer's last request frame; replies mirror
-        /// it. Starts at our own version until the first frame arrives.
-        peer_version: u8,
         /// Last time this connection completed a frame in or pushed
         /// response bytes out. The idle wheel is re-armed lazily from
         /// this on expiry instead of on every frame (hot connections
@@ -776,7 +693,6 @@ mod event {
                 close_after: false,
                 eof: false,
                 interest: Interest::READABLE,
-                peer_version: wire::VERSION,
                 last_activity: Instant::now(),
             }
         }
@@ -795,7 +711,6 @@ mod event {
         /// this batch.
         Request {
             id: u64,
-            version: u8,
             total: usize,
             requests: Vec<Request>,
         },
@@ -815,12 +730,13 @@ mod event {
         config: NetConfig,
     }
 
-    /// Launch the event-driven server: dispatch workers plus the reactor
-    /// thread, all joined by [`NetServerHandle::shutdown`].
-    pub(super) fn spawn_event(server: NetServer, reactor: Reactor) -> NetServerHandle {
+    /// Launch the server: dispatch workers plus the reactor thread, all
+    /// joined by [`NetServerHandle::shutdown`].
+    pub(super) fn spawn(server: NetServer) -> NetServerHandle {
         let NetServer {
             listener,
             addr,
+            reactor,
             shared,
             config,
         } = server;
@@ -875,7 +791,7 @@ mod event {
             addr,
             shared,
             threads,
-            waker: Some(waker),
+            waker,
         }
     }
 
@@ -950,7 +866,6 @@ mod event {
             match wire::FrameStream::response(
                 completion.body,
                 completion.id,
-                completion.version,
                 self.config.stream_chunk_bytes,
             ) {
                 Ok(stream) => {
@@ -965,8 +880,7 @@ mod event {
                     // for a readiness round trip.
                     self.conn_write(completion.token);
                 }
-                // Response over the payload cap: close, the same outcome
-                // the blocking path's failed encode had.
+                // Response over the payload cap: close.
                 Err(_) => self.close_conn(completion.token),
             }
         }
@@ -1168,8 +1082,8 @@ mod event {
                 }
             }
             if failed {
-                // Socket-level read failure (reset mid-frame, say): the
-                // blocking path counted it as a wire error and closed.
+                // Socket-level read failure (reset mid-frame, say): count
+                // a wire error and close.
                 self.shared
                     .stats
                     .wire_errors
@@ -1195,7 +1109,6 @@ mod event {
                 Parsed::Fail { id, msg } => self.fail_conn(token, id, &msg),
                 Parsed::Request {
                     id,
-                    version,
                     total,
                     requests,
                 } => {
@@ -1205,7 +1118,6 @@ mod event {
                         .fetch_add(requests.len() as u64, Ordering::Relaxed);
                     let conn = self.conns.get_mut(&token).expect("conn just parsed");
                     conn.buf.drain(..total);
-                    conn.peer_version = version;
                     // A complete frame arrived: this peer is live.
                     conn.last_activity = Instant::now();
                     // Overload protection: past the dispatch backlog
@@ -1216,7 +1128,7 @@ mod event {
                     // the retry.
                     let backlog = self.config.max_dispatch_backlog;
                     if backlog > 0 && self.dispatch.jobs.lock().0.len() >= backlog {
-                        self.shed(token, id, version, requests.len());
+                        self.shed(token, id, requests.len());
                         return;
                     }
                     conn.phase = Phase::Dispatched;
@@ -1224,7 +1136,6 @@ mod event {
                     self.dispatch.push(Job {
                         token,
                         id,
-                        version,
                         requests,
                         received: Instant::now(),
                     });
@@ -1236,7 +1147,7 @@ mod event {
         /// [`ServeError::Overloaded`] per request, staged on the
         /// write-drain like any other response. The connection stays
         /// open — shedding is back-pressure, not punishment.
-        fn shed(&mut self, token: u64, id: u64, version: u8, n_requests: usize) {
+        fn shed(&mut self, token: u64, id: u64, n_requests: usize) {
             self.shared
                 .stats
                 .shed
@@ -1249,7 +1160,7 @@ mod event {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            match wire::FrameStream::response(body, id, version, self.config.stream_chunk_bytes) {
+            match wire::FrameStream::response(body, id, self.config.stream_chunk_bytes) {
                 Ok(stream) => {
                     conn.write = Some(Outgoing {
                         stream,
@@ -1273,7 +1184,7 @@ mod event {
                 return;
             };
             let body = wire::ResponseBody::from_payload(wire::encode_error_payload(msg));
-            match wire::FrameStream::single(FrameKind::Error, conn.peer_version, id, body) {
+            match wire::FrameStream::single(FrameKind::Error, id, body) {
                 Ok(stream) => {
                     conn.close_after = true;
                     conn.write = Some(Outgoing {
@@ -1399,8 +1310,8 @@ mod event {
                 }
             }
             if failed {
-                // Write failures closed the blocking path without a wire
-                // error; keep the same books here.
+                // A failed write closes the connection without counting
+                // a wire error.
                 self.close_conn(token);
                 return;
             }
@@ -1517,8 +1428,7 @@ mod event {
     /// Pure frame parser over the head of a connection's buffer. Splits
     /// cleanly from the event loop so the counting/bookkeeping above
     /// stays free of byte-level detail. Counts `frames_in`/`bytes_in`
-    /// itself (on complete, checksum-valid request frames), matching the
-    /// blocking path's `read_frame` bookkeeping exactly.
+    /// itself (on complete, checksum-valid request frames).
     fn parse_head(conn: &mut Conn, stats: &NetStatCells) -> Parsed {
         if conn.buf.len() < HEADER_LEN {
             return if conn.eof {
@@ -1585,7 +1495,6 @@ mod event {
         match wire::decode_request_batch(payload) {
             Ok(requests) => Parsed::Request {
                 id: header.id,
-                version: header.version,
                 total,
                 requests,
             },
@@ -1595,328 +1504,6 @@ mod event {
             },
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Thread-per-connection fallback
-// ---------------------------------------------------------------------------
-
-/// Accept until shutdown; each accepted connection takes a semaphore
-/// permit and a handler thread.
-fn accept_loop(listener: TcpListener, shared: Arc<NetShared>, config: NetConfig) {
-    let admission = Semaphore::new(config.max_connections);
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut next_token = 0u64;
-    loop {
-        // Hold a permit *before* accepting: when all permits are out the
-        // loop parks here and the kernel backlog queues new clients —
-        // admission back-pressure without a thread per waiter.
-        let permit = admission.acquire();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        let token = next_token;
-        next_token += 1;
-        // Register under the lock that shutdown drains under, re-checking
-        // the flag there: either this connection lands in the registry
-        // before the drain, or shutdown already ran and we close it here.
-        {
-            let mut conns = shared.open_conns.lock();
-            if shared.shutdown.load(Ordering::SeqCst) {
-                drop(conns);
-                let _ = stream.shutdown(Shutdown::Both);
-                break; // often the wake-up connection from shutdown()
-            }
-            if let Ok(clone) = stream.try_clone() {
-                conns.push((token, clone));
-            }
-        }
-        handlers.retain(|h| !h.is_finished());
-        let conn_shared = Arc::clone(&shared);
-        let idle_timeout = config.idle_timeout;
-        let stream_chunk = config.stream_chunk_bytes;
-        let spawned = std::thread::Builder::new()
-            .name("exaclim-net-conn".to_string())
-            .spawn(move || {
-                handle_connection(&conn_shared, stream, token, idle_timeout, stream_chunk);
-                drop(permit);
-            });
-        match spawned {
-            Ok(handler) => handlers.push(handler),
-            Err(_) => {
-                // Thread (or fd) exhaustion: reject this connection —
-                // the dropped closure closes the stream and releases the
-                // permit — but the accept loop must survive to serve the
-                // connections that already got in.
-                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                shared.forget_conn(token);
-            }
-        }
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
-/// A [`TcpStream`] reader that enforces an absolute per-frame deadline
-/// through socket read timeouts: every read blocks at most until the
-/// deadline, so a slowloris peer dribbling one byte per poll still hits
-/// the wall. The handler re-arms the deadline after each complete frame.
-struct DeadlineStream {
-    stream: TcpStream,
-    idle_timeout: Option<Duration>,
-    deadline: Option<Instant>,
-    timed_out: bool,
-}
-
-impl DeadlineStream {
-    fn new(stream: TcpStream, idle_timeout: Option<Duration>) -> Self {
-        let deadline = idle_timeout.map(|d| Instant::now() + d);
-        Self {
-            stream,
-            idle_timeout,
-            deadline,
-            timed_out: false,
-        }
-    }
-
-    /// A complete frame arrived: the peer is live, start a fresh window.
-    fn rearm(&mut self) {
-        self.deadline = self.idle_timeout.map(|d| Instant::now() + d);
-    }
-}
-
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if let Some(deadline) = self.deadline {
-            let now = Instant::now();
-            if now >= deadline {
-                self.timed_out = true;
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "idle deadline exceeded",
-                ));
-            }
-            let _ = self.stream.set_read_timeout(Some(deadline - now));
-        }
-        match self.stream.read(buf) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                self.timed_out = true;
-                Err(e)
-            }
-            other => other,
-        }
-    }
-}
-
-/// Serve one connection until EOF, socket error, idle deadline, or a
-/// transport-level protocol violation.
-fn handle_connection(
-    shared: &NetShared,
-    stream: TcpStream,
-    token: u64,
-    idle_timeout: Option<Duration>,
-    stream_chunk: usize,
-) {
-    // Admission is counted here, not in the accept loop: the handler can
-    // finish (and decrement the open-connections gauge) before the accept
-    // loop's next instruction runs, so the open/close pair must live on
-    // one thread.
-    shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-    shared.stats.conn_opened();
-    // Frames are explicit flush points; Nagle only adds latency here.
-    let _ = stream.set_nodelay(true);
-    let reader_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            shared.forget_conn(token);
-            shared.stats.conn_closed();
-            return;
-        }
-    };
-    let mut reader = BufReader::new(DeadlineStream::new(reader_stream, idle_timeout));
-    // Responses go straight to the socket via a gathered write — one
-    // `writev` per frame — so there is no BufWriter (and no flush) on
-    // the response path.
-    let mut writer = stream;
-    let stats = &shared.stats;
-    // Error frames mirror the version of the peer's last good frame.
-    let mut peer_version = wire::VERSION;
-    loop {
-        // Fault site `net.read` (threaded realization): delays stall
-        // this connection's read; Reset drops the connection as a peer
-        // reset would. Short reads and EINTR are absorbed by the
-        // blocking `BufReader` below, so those actions degrade to no-ops
-        // here — the reactor path realizes them byte-exactly.
-        if let Some(action) = exaclim_runtime::faults::check("net.read") {
-            use exaclim_runtime::FaultAction;
-            match action {
-                FaultAction::Delay(dur) | FaultAction::Stall(dur) => std::thread::sleep(dur),
-                FaultAction::Reset => {
-                    stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        match wire::read_frame(&mut reader) {
-            Ok((header, payload)) if header.kind == FrameKind::Request => {
-                stats.frames_in.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .bytes_in
-                    .fetch_add((HEADER_LEN + payload.len()) as u64, Ordering::Relaxed);
-                reader.get_mut().rearm();
-                peer_version = header.version;
-                let received = Instant::now();
-                match wire::decode_request_batch(&payload) {
-                    Ok(requests) => {
-                        stats
-                            .requests
-                            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-                        // Same fault site and panic containment as the
-                        // reactor's dispatch workers: a panic answers
-                        // every request with a typed retryable
-                        // `Internal` error and the connection survives.
-                        let backend = &shared.backend;
-                        let reqs = &requests;
-                        let replies =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                if let Some(action) = exaclim_runtime::faults::check("dispatch") {
-                                    use exaclim_runtime::FaultAction;
-                                    match action {
-                                        FaultAction::Delay(dur) | FaultAction::Stall(dur) => {
-                                            std::thread::sleep(dur)
-                                        }
-                                        FaultAction::Panic => panic!("injected dispatch fault"),
-                                        _ => {}
-                                    }
-                                }
-                                backend.batch_replies_from(reqs, received)
-                            }))
-                            .unwrap_or_else(|_| {
-                                requests
-                                    .iter()
-                                    .map(|_| {
-                                        crate::server::Reply::Full(Err(ServeError::Internal(
-                                            "request execution panicked".to_string(),
-                                        )))
-                                    })
-                                    .collect()
-                            });
-                        let body = wire::encode_reply_batch(replies);
-                        let Ok(mut out) = wire::FrameStream::response(
-                            body,
-                            header.id,
-                            header.version,
-                            stream_chunk,
-                        ) else {
-                            break; // response over the payload cap
-                        };
-                        // Fault site `net.write` (threaded realization).
-                        if let Some(action) = exaclim_runtime::faults::check("net.write") {
-                            use exaclim_runtime::FaultAction;
-                            match action {
-                                FaultAction::Delay(dur) | FaultAction::Stall(dur) => {
-                                    std::thread::sleep(dur)
-                                }
-                                FaultAction::Reset => break,
-                                _ => {}
-                            }
-                        }
-                        let report = match wire::write_stream(&mut writer, &mut out) {
-                            Ok(report) => report,
-                            Err(_) => break,
-                        };
-                        stats
-                            .frames_out
-                            .fetch_add(u64::from(report.frames), Ordering::Relaxed);
-                        stats.bytes_out.fetch_add(report.bytes, Ordering::Relaxed);
-                        stats.response_written(report.frames, out.is_streamed());
-                        stats.note_conn_buffered(report.owned_peak);
-                    }
-                    Err(e) => {
-                        // The framing was intact but the payload wasn't:
-                        // report and close — the stream may be desynced.
-                        stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_reply(
-                            &mut writer,
-                            peer_version,
-                            FrameKind::Error,
-                            header.id,
-                            &wire::encode_error_payload(&e.to_string()),
-                        );
-                        break;
-                    }
-                }
-            }
-            Ok((header, _)) => {
-                // A client must only send request frames.
-                stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_reply(
-                    &mut writer,
-                    header.version,
-                    FrameKind::Error,
-                    header.id,
-                    &wire::encode_error_payload(&format!(
-                        "unexpected frame kind {} from client",
-                        header.kind.id()
-                    )),
-                );
-                break;
-            }
-            Err(WireError::ConnectionClosed { .. }) => break,
-            Err(_) if reader.get_ref().timed_out => {
-                // The idle deadline fired mid-wait (or mid-dribble):
-                // reaped, not a wire error — the peer sent nothing wrong,
-                // it just stopped being worth a thread.
-                stats.reaped_idle.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            Err(e) => {
-                // Bad magic, version mismatch, oversized claim, checksum
-                // failure, truncation, socket error: best-effort report,
-                // then close.
-                stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_reply(
-                    &mut writer,
-                    peer_version,
-                    FrameKind::Error,
-                    0,
-                    &wire::encode_error_payload(&e.to_string()),
-                );
-                break;
-            }
-        }
-    }
-    shared.forget_conn(token);
-    shared.stats.conn_closed();
-}
-
-/// Write one reply frame with a single gathered syscall: header and
-/// payload leave in one `writev` instead of two buffered writes plus a
-/// flush, so a response never waits on a half-flushed header.
-fn write_reply(
-    writer: &mut TcpStream,
-    version: u8,
-    kind: FrameKind,
-    id: u64,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    wire::write_frame_vectored_v(writer, version, kind, id, payload)
 }
 
 /// Capped exponential backoff with decorrelated jitter and a retry
@@ -1958,10 +1545,6 @@ impl Default for RetryPolicy {
 /// [`Client::connect_with`]).
 #[derive(Debug, Clone, Default)]
 pub struct ClientConfig {
-    /// Wire version announced in request frames, within
-    /// [`crate::wire::MIN_VERSION`]`..=`[`crate::wire::VERSION`].
-    /// `0` (the `Default`) means the current [`crate::wire::VERSION`].
-    pub version: u8,
     /// Bound on establishing the TCP connection, applied per resolved
     /// address; `None` blocks on the OS default (which against a
     /// dead-but-routable address can be minutes).
@@ -2006,11 +1589,9 @@ pub struct ClientStats {
 /// [`Client::recv`] split the round trip: several batches may be in
 /// flight on the connection at once, and responses arrive in send order.
 ///
-/// Requests announce [`crate::wire::VERSION`] by default, so large
-/// responses arrive as CRC-checked stream fragments which [`Client::recv`]
-/// reassembles transparently — the result is bit-identical to the
-/// single-frame response a version-2 peer (see
-/// [`Client::connect_with_version`]) would get.
+/// Large responses arrive as CRC-checked stream fragments which
+/// [`Client::recv`] reassembles transparently — the result is
+/// bit-identical to the same response sent as a single frame.
 ///
 /// With a [`RetryPolicy`] armed ([`ClientConfig::retry`]) the client
 /// **self-heals**: retryable transport failures (resets, truncated
@@ -2045,47 +1626,20 @@ impl std::fmt::Debug for Client {
             .field("peer", &self.peer)
             .field("next_id", &self.next_id)
             .field("in_flight", &self.in_flight.len())
-            .field("version", &self.config.version)
             .field("retries", &self.stats.retries)
             .finish()
     }
 }
 
 impl Client {
-    /// Connect to a [`NetServer`], speaking the current wire version,
-    /// with no timeouts and no retry policy.
+    /// Connect to a [`NetServer`] with no timeouts and no retry policy.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WireError> {
-        Self::connect_with_version(addr, wire::VERSION)
-    }
-
-    /// Connect announcing a specific wire version (within
-    /// [`crate::wire::MIN_VERSION`]`..=`[`crate::wire::VERSION`]).
-    /// Announcing version 2 opts out of streamed responses — every
-    /// response arrives as one monolithic frame, byte-identical to what
-    /// a version-2 build of this client would receive.
-    pub fn connect_with_version(addr: impl ToSocketAddrs, version: u8) -> Result<Self, WireError> {
-        Self::connect_with(
-            addr,
-            ClientConfig {
-                version,
-                ..ClientConfig::default()
-            },
-        )
+        Self::connect_with(addr, ClientConfig::default())
     }
 
     /// Connect with explicit [`ClientConfig`] — timeouts and, when
     /// [`ClientConfig::retry`] is `Some`, self-healing.
     pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Self, WireError> {
-        let mut config = config;
-        if config.version == 0 {
-            config.version = wire::VERSION;
-        }
-        if !(wire::MIN_VERSION..=wire::VERSION).contains(&config.version) {
-            return Err(WireError::Version {
-                got: config.version,
-                want: wire::VERSION,
-            });
-        }
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs().map_err(WireError::from)?.collect();
         if addrs.is_empty() {
             return Err(WireError::Io("address resolved to nothing".to_string()));
@@ -2198,13 +1752,7 @@ impl Client {
             let id = self.next_id;
             self.next_id += 1;
             let payload = wire::encode_request_batch(&entry.1);
-            wire::write_frame_vectored_v(
-                &mut self.writer,
-                self.config.version,
-                FrameKind::Request,
-                id,
-                &payload,
-            )?;
+            wire::write_frame_vectored(&mut self.writer, FrameKind::Request, id, &payload)?;
             entry.0 = id;
         }
         self.writer.flush().map_err(WireError::from)?;
@@ -2216,13 +1764,7 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         let payload = wire::encode_request_batch(requests);
-        wire::write_frame_vectored_v(
-            &mut self.writer,
-            self.config.version,
-            FrameKind::Request,
-            id,
-            &payload,
-        )?;
+        wire::write_frame_vectored(&mut self.writer, FrameKind::Request, id, &payload)?;
         self.writer.flush().map_err(WireError::from)?;
         Ok(id)
     }

@@ -17,9 +17,9 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic, the literal bytes "ECN1"
-//! 4       1     protocol version (2–4; this build speaks 4)
+//! 4       1     protocol version, always 4
 //! 5       1     frame kind: 1 = request batch, 2 = response batch,
-//!               3 = error, 4 = stream fragment (version ≥ 3)
+//!               3 = error, 4 = stream fragment
 //! 6       2     kinds 1–3: reserved, must be zero
 //!               kind 4: stream position — bits 0..15 are the fragment
 //!               sequence number, bit 15 is the FIN flag
@@ -29,31 +29,29 @@
 //! 24      …     payload
 //! ```
 //!
-//! Version 2 added the scenario-engine ops — product and ensemble
-//! requests ([`crate::ProductDescriptor`], [`crate::ScenarioSpec`]) and
-//! the product response block — plus the product-cache counters in the
-//! stats reply. Version 3 added **streaming responses**: one request id
-//! may be answered by several `Stream` fragments instead of a single
-//! `Response` frame. The two previously-reserved header bytes carry each
-//! fragment's position ([`StreamPos`]): a 15-bit sequence number
-//! starting at 0 and a FIN flag on the final fragment. Concatenating the
-//! fragments' CRC-checked payloads in sequence order yields **exactly**
-//! the payload the same batch would produce as one `Response` frame —
-//! streaming is a transport framing, invisible above
-//! [`decode_response_batch`]. Version 4 added the resilience machinery:
-//! an optional **per-request deadline** wrapper
-//! ([`Request::WithDeadline`]) that lets the server skip work whose
-//! budget already expired, and the overload/deadline/internal error
-//! codes ([`ServeError::Overloaded`], [`ServeError::DeadlineExpired`],
-//! [`ServeError::Internal`]) that make the retryable-vs-fatal taxonomy
-//! explicit on the wire.
+//! There is exactly one protocol version, [`VERSION`] (4); a frame
+//! claiming any other version — older ones included — is rejected with
+//! [`WireError::Version`] from its header alone, before any payload is
+//! read. Version 4 carries:
 //!
-//! Version negotiation is per connection and server-mirrored: the server
-//! answers at the version of the request frame it is answering, and only
-//! streams to version ≥ 3 peers. A version-2 peer keeps getting single
-//! `Response` frames, byte-identical to the old wire; versions outside
-//! `MIN_VERSION..=VERSION` are rejected with [`WireError::Version`]
-//! before any payload is read.
+//! * the scenario-engine ops — product and ensemble requests
+//!   ([`crate::ProductDescriptor`], [`crate::ScenarioSpec`]) and the
+//!   product response block — plus the product-cache counters in the
+//!   stats reply,
+//! * **streaming responses**: one request id may be answered by several
+//!   `Stream` fragments instead of a single `Response` frame. Header
+//!   bytes 6..8 carry each fragment's position ([`StreamPos`]): a 15-bit
+//!   sequence number starting at 0 and a FIN flag on the final fragment.
+//!   Concatenating the fragments' CRC-checked payloads in sequence order
+//!   yields **exactly** the payload the same batch would produce as one
+//!   `Response` frame — streaming is a transport framing, invisible above
+//!   [`decode_response_batch`],
+//! * an optional **per-request deadline** wrapper
+//!   ([`Request::WithDeadline`]) that lets the server skip work whose
+//!   budget already expired, and the overload/deadline/internal error
+//!   codes ([`ServeError::Overloaded`], [`ServeError::DeadlineExpired`],
+//!   [`ServeError::Internal`]) that make the retryable-vs-fatal taxonomy
+//!   explicit on the wire.
 //!
 //! A **request** frame's payload is a batch: a `u32` count followed by
 //! that many encoded [`Request`]s. The matching **response** frame echoes
@@ -121,17 +119,9 @@ use std::sync::Arc;
 /// Frame magic: the literal bytes `ECN1` at offset 0 of every frame.
 pub const MAGIC: [u8; 4] = *b"ECN1";
 
-/// Protocol version this build speaks (header byte 4). Version 2 added
-/// the scenario-engine ops; version 3 added streaming responses
-/// ([`FrameKind::Stream`]); version 4 added per-request deadlines
-/// ([`Request::WithDeadline`]) and the overload/deadline/internal error
-/// codes.
+/// The protocol version (header byte 4): the only one written and the
+/// only one accepted.
 pub const VERSION: u8 = 4;
-
-/// Oldest protocol version this build still accepts. Version-2 peers
-/// negotiate down transparently: the server mirrors the request frame's
-/// version in its replies and never streams to them.
-pub const MIN_VERSION: u8 = 2;
 
 /// Largest stream-fragment sequence number (15 bits; bit 15 of the
 /// on-wire position word is the FIN flag).
@@ -162,8 +152,8 @@ pub enum FrameKind {
     Response,
     /// A terminal transport-level error report (either direction).
     Error,
-    /// One fragment of a streamed response (server → client, wire
-    /// version ≥ 3). The header's reserved bytes carry a [`StreamPos`];
+    /// One fragment of a streamed response (server → client). The
+    /// header's bytes 6..8 carry a [`StreamPos`];
     /// fragment payloads concatenate, in sequence order, to exactly the
     /// payload a [`FrameKind::Response`] frame would have carried.
     Stream,
@@ -221,10 +211,6 @@ impl StreamPos {
 /// The decoded fixed-size frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// Protocol version of the frame (`MIN_VERSION..=VERSION`). The
-    /// server mirrors this in its replies so version-2 peers keep
-    /// receiving version-2 frames.
-    pub version: u8,
     /// Frame kind.
     pub kind: FrameKind,
     /// Stream position; `Some` exactly when `kind` is
@@ -243,7 +229,7 @@ impl FrameHeader {
     pub fn encode(&self) -> [u8; HEADER_LEN] {
         let mut h = [0u8; HEADER_LEN];
         h[0..4].copy_from_slice(&MAGIC);
-        h[4] = self.version;
+        h[4] = VERSION;
         h[5] = self.kind.id();
         // Bytes 6..8: reserved-zero, except a stream fragment's position.
         if let Some(pos) = self.stream {
@@ -256,27 +242,21 @@ impl FrameHeader {
     }
 
     /// Parse and validate the fixed 24-byte wire form: magic, version
-    /// (`MIN_VERSION..=VERSION` accepted), kind, reserved/stream bytes,
-    /// and the [`MAX_FRAME_PAYLOAD`] cap.
+    /// (exactly [`VERSION`]), kind, reserved/stream bytes, and the
+    /// [`MAX_FRAME_PAYLOAD`] cap.
     pub fn decode(bytes: &[u8; HEADER_LEN]) -> Result<Self, WireError> {
         if bytes[0..4] != MAGIC {
             return Err(WireError::BadMagic([
                 bytes[0], bytes[1], bytes[2], bytes[3],
             ]));
         }
-        let version = bytes[4];
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if bytes[4] != VERSION {
             return Err(WireError::Version {
-                got: version,
+                got: bytes[4],
                 want: VERSION,
             });
         }
         let kind = FrameKind::from_id(bytes[5])?;
-        if kind == FrameKind::Stream && version < 3 {
-            // Version 2 had no stream frames; a v2 header with kind 4 is
-            // as unknown as kind 9.
-            return Err(WireError::BadFrameKind(4));
-        }
         let stream = if kind == FrameKind::Stream {
             Some(StreamPos::from_wire(u16::from_le_bytes(
                 bytes[6..8].try_into().expect("2 bytes"),
@@ -300,7 +280,6 @@ impl FrameHeader {
         }
         let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
         Ok(Self {
-            version,
             kind,
             stream,
             id,
@@ -316,17 +295,6 @@ impl FrameHeader {
 /// [`MAX_FRAME_PAYLOAD`] — the sender enforces the same cap the receiver
 /// does, so an over-long batch is rejected before it ties up the socket.
 pub fn encode_frame(kind: FrameKind, id: u64, payload: &[u8]) -> Result<Vec<u8>, WireError> {
-    encode_frame_v(VERSION, kind, id, payload)
-}
-
-/// [`encode_frame`] with an explicit protocol version — the server uses
-/// this to mirror a version-2 peer's version in its replies.
-pub fn encode_frame_v(
-    version: u8,
-    kind: FrameKind,
-    id: u64,
-    payload: &[u8],
-) -> Result<Vec<u8>, WireError> {
     if payload.len() as u64 > u64::from(MAX_FRAME_PAYLOAD) {
         return Err(WireError::FrameTooLarge {
             len: payload.len() as u64,
@@ -334,7 +302,6 @@ pub fn encode_frame_v(
         });
     }
     let header = FrameHeader {
-        version,
         kind,
         stream: None,
         id,
@@ -400,7 +367,6 @@ pub fn write_frame(
         });
     }
     let header = FrameHeader {
-        version: VERSION,
         kind,
         stream: None,
         id,
@@ -427,19 +393,6 @@ pub fn write_frame_vectored(
     id: u64,
     payload: &[u8],
 ) -> Result<(), WireError> {
-    write_frame_vectored_v(w, VERSION, kind, id, payload)
-}
-
-/// [`write_frame_vectored`] with an explicit protocol version — the
-/// [`crate::net::Client`] uses this to send frames at its negotiated
-/// version when speaking to an older server.
-pub fn write_frame_vectored_v(
-    w: &mut impl Write,
-    version: u8,
-    kind: FrameKind,
-    id: u64,
-    payload: &[u8],
-) -> Result<(), WireError> {
     if payload.len() as u64 > u64::from(MAX_FRAME_PAYLOAD) {
         return Err(WireError::FrameTooLarge {
             len: payload.len() as u64,
@@ -447,7 +400,6 @@ pub fn write_frame_vectored_v(
         });
     }
     let header = FrameHeader {
-        version,
         kind,
         stream: None,
         id,
@@ -623,7 +575,7 @@ impl OutFrame {
 }
 
 /// Cuts a [`ResponseBody`] into wire frames: one [`FrameKind::Response`]
-/// frame when the peer is version 2 or the body fits the stream chunk,
+/// frame when streaming is off or the body fits the stream chunk,
 /// otherwise a sequence of [`FrameKind::Stream`] fragments whose
 /// payloads concatenate to exactly the single-frame payload. Each frame
 /// carries its own CRC (computed incrementally across the scattered
@@ -631,7 +583,6 @@ impl OutFrame {
 pub struct FrameStream {
     body: ResponseBody,
     kind: FrameKind,
-    version: u8,
     id: u64,
     total: usize,
     /// Fragment payload size; `0` means a single non-streamed frame.
@@ -645,19 +596,12 @@ pub struct FrameStream {
 }
 
 impl FrameStream {
-    /// Stage a response for a peer speaking `peer_version`. Streams
-    /// (fragments of ≈`stream_chunk` payload bytes) when the peer is
-    /// version ≥ 3, streaming is enabled (`stream_chunk > 0`), and the
-    /// body exceeds one chunk; otherwise emits the classic single
-    /// response frame. Fails up front if the body exceeds
+    /// Stage a response. Streams (fragments of ≈`stream_chunk` payload
+    /// bytes) when streaming is enabled (`stream_chunk > 0`) and the body
+    /// exceeds one chunk; otherwise emits a single response frame. Fails up front if the body exceeds
     /// [`MAX_FRAME_PAYLOAD`] — the cap bounds the *reassembled* payload,
     /// streamed or not, so both sides agree on what is too large.
-    pub fn response(
-        body: ResponseBody,
-        id: u64,
-        peer_version: u8,
-        stream_chunk: usize,
-    ) -> Result<Self, WireError> {
+    pub fn response(body: ResponseBody, id: u64, stream_chunk: usize) -> Result<Self, WireError> {
         let total = body.total_len();
         if total as u64 > u64::from(MAX_FRAME_PAYLOAD) {
             return Err(WireError::FrameTooLarge {
@@ -665,7 +609,7 @@ impl FrameStream {
                 max: u64::from(MAX_FRAME_PAYLOAD),
             });
         }
-        let chunk = if peer_version >= 3 && stream_chunk > 0 && total > stream_chunk {
+        let chunk = if stream_chunk > 0 && total > stream_chunk {
             // Never emit more fragments than the 15-bit sequence space
             // holds — widen the fragment instead of overflowing seq.
             stream_chunk.max(total.div_ceil(usize::from(STREAM_SEQ_MAX) + 1))
@@ -675,7 +619,6 @@ impl FrameStream {
         Ok(Self {
             body,
             kind: FrameKind::Response,
-            version: peer_version,
             id,
             total,
             chunk,
@@ -690,12 +633,7 @@ impl FrameStream {
 
     /// Stage a single non-streamed frame of any kind (error frames use
     /// this).
-    pub fn single(
-        kind: FrameKind,
-        version: u8,
-        id: u64,
-        body: ResponseBody,
-    ) -> Result<Self, WireError> {
+    pub fn single(kind: FrameKind, id: u64, body: ResponseBody) -> Result<Self, WireError> {
         let total = body.total_len();
         if total as u64 > u64::from(MAX_FRAME_PAYLOAD) {
             return Err(WireError::FrameTooLarge {
@@ -706,7 +644,6 @@ impl FrameStream {
         Ok(Self {
             body,
             kind,
-            version,
             id,
             total,
             chunk: 0,
@@ -790,7 +727,6 @@ impl FrameStream {
             self.kind
         };
         let head = FrameHeader {
-            version: self.version,
             kind,
             stream: stream_pos,
             id: self.id,
@@ -806,72 +742,6 @@ impl FrameStream {
             last,
         })
     }
-}
-
-/// What [`write_stream`] put on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamWriteReport {
-    /// Frames written.
-    pub frames: u32,
-    /// Total bytes written (headers + payloads).
-    pub bytes: u64,
-    /// Largest single-frame owned footprint (see [`OutFrame::owned_len`]).
-    pub owned_peak: usize,
-}
-
-/// Drain a [`FrameStream`] to a blocking writer, each frame going out
-/// through gathered `writev` calls resumed across partial writes (the
-/// multi-slice generalization of [`write_frame_vectored`]). The caller
-/// is responsible for flushing.
-pub fn write_stream(
-    w: &mut impl Write,
-    s: &mut FrameStream,
-) -> Result<StreamWriteReport, WireError> {
-    let mut report = StreamWriteReport {
-        frames: 0,
-        bytes: 0,
-        owned_peak: 0,
-    };
-    while let Some(frame) = s.next_frame() {
-        let total = frame.total_len();
-        report.owned_peak = report.owned_peak.max(frame.owned_len(s.body()));
-        let mut written = 0usize;
-        let mut bufs: Vec<IoSlice<'_>> = Vec::new();
-        while written < total {
-            bufs.clear();
-            frame.remaining_slices(s.body(), written, &mut bufs, MAX_WRITE_IOV);
-            match w.write_vectored(&bufs) {
-                Ok(0) => {
-                    return Err(WireError::from(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "frame write made no progress",
-                    )))
-                }
-                Ok(n) => written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(WireError::from(e)),
-            }
-        }
-        report.frames += 1;
-        report.bytes += total as u64;
-        // Fault site `net.write.frame`: between stream fragments, where
-        // a stall holds the peer mid-reassembly and a reset leaves it
-        // with a truncated stream. Skipped after the FIN frame — the
-        // stream is already complete.
-        if !frame.last {
-            if let Some(action) = exaclim_runtime::faults::check("net.write.frame") {
-                use exaclim_runtime::FaultAction;
-                match action {
-                    FaultAction::Delay(d) | FaultAction::Stall(d) => std::thread::sleep(d),
-                    FaultAction::Reset => {
-                        return Err(WireError::Io("injected mid-stream reset".to_string()))
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    Ok(report)
 }
 
 /// Receiver-side reassembly of a streamed response: fragments must
@@ -1295,7 +1165,7 @@ const CQ_LIST_MEMBERS: u8 = 2;
 const CQ_MEMBER_INFO: u8 = 3;
 const CQ_LIST_EMULATORS: u8 = 4;
 
-// Scenario-engine tags (wire version 2): product sources and statistics.
+// Scenario-engine tags: product sources and statistics.
 const PS_MEMBER: u8 = 1;
 const PS_ENSEMBLE: u8 = 2;
 
@@ -2339,22 +2209,23 @@ mod tests {
                 want: VERSION
             }
         );
-        // Below the negotiation floor is equally rejected…
-        frame[4] = MIN_VERSION - 1;
-        assert!(matches!(
-            decode_frame(&frame).unwrap_err(),
-            WireError::Version { .. }
-        ));
-        // …but the previous protocol version still decodes.
-        frame[4] = MIN_VERSION;
-        let (header, _) = decode_frame(&frame).unwrap();
-        assert_eq!(header.version, MIN_VERSION);
+        // Older versions are rejected just the same: there is one wire.
+        for old in [1, 2, 3] {
+            frame[4] = old;
+            assert_eq!(
+                decode_frame(&frame).unwrap_err(),
+                WireError::Version {
+                    got: old,
+                    want: VERSION
+                }
+            );
+        }
     }
 
     #[test]
     fn stream_frames_require_version_3() {
         let body = ResponseBody::from_responses(sample_responses());
-        let mut s = FrameStream::response(body, 7, VERSION, 64).unwrap();
+        let mut s = FrameStream::response(body, 7, 64).unwrap();
         assert!(s.is_streamed());
         let mut frame = {
             let f = s.next_frame().unwrap();
@@ -2364,19 +2235,21 @@ mod tests {
         let (header, _) = decode_frame(&frame).unwrap();
         assert_eq!(header.kind, FrameKind::Stream);
         assert_eq!(header.stream, Some(StreamPos { seq: 0, fin: false }));
-        // …but the same bytes claiming version 2 are an unknown kind:
-        // version-2 peers never negotiated stream frames.
+        // …but the same bytes claiming an older version are rejected
+        // from the header alone.
         frame[4] = 2;
         assert_eq!(
             decode_frame(&frame).unwrap_err(),
-            WireError::BadFrameKind(4)
+            WireError::Version {
+                got: 2,
+                want: VERSION
+            }
         );
     }
 
     #[test]
     fn oversized_length_claim_is_rejected_before_reading() {
         let mut header = FrameHeader {
-            version: VERSION,
             kind: FrameKind::Request,
             stream: None,
             id: 0,
@@ -2631,7 +2504,7 @@ mod tests {
         // primes, exactly-total, larger-than-total (single frame).
         for chunk in [1usize, 7, 64, 333, expect.len() - 1, expect.len()] {
             let body = ResponseBody::from_responses(batch.clone());
-            let mut s = FrameStream::response(body, 99, VERSION, chunk).unwrap();
+            let mut s = FrameStream::response(body, 99, chunk).unwrap();
             let mut reasm = StreamReassembler::new();
             let mut got = None;
             let mut frames = 0u32;
@@ -2657,60 +2530,24 @@ mod tests {
     }
 
     #[test]
-    fn version_2_peers_get_a_single_response_frame() {
+    fn unstreamed_response_matches_encode_frame() {
         let batch = sample_responses();
         let body = ResponseBody::from_responses(batch.clone());
-        // A chunk far smaller than the body would stream to a v3 peer…
-        let mut s = FrameStream::response(body, 5, 2, 16).unwrap();
+        // Streaming off: one frame, however large the body…
+        let mut s = FrameStream::response(body, 5, 0).unwrap();
         assert!(!s.is_streamed());
         let frame = s.next_frame().unwrap();
         assert!(frame.last);
         assert!(s.next_frame().is_none());
-        // …and the v2 frame is byte-identical to the legacy encoder's.
-        let expect = encode_frame_v(2, FrameKind::Response, 5, &encode_response_batch(&batch));
+        // …byte-identical to the contiguous encoder's.
+        let expect = encode_frame(FrameKind::Response, 5, &encode_response_batch(&batch));
         assert_eq!(frame.to_bytes(s.body()), expect.unwrap());
-    }
-
-    #[test]
-    fn write_stream_survives_trickle_and_matches_to_bytes() {
-        let batch = sample_responses();
-        let expect: Vec<u8> = {
-            let mut s =
-                FrameStream::response(ResponseBody::from_responses(batch.clone()), 3, VERSION, 100)
-                    .unwrap();
-            let mut all = Vec::new();
-            while let Some(f) = s.next_frame() {
-                all.extend_from_slice(&f.to_bytes(s.body()));
-            }
-            all
-        };
-        for chunk in [100usize, 0] {
-            // chunk 0 disables streaming — single frame, same machinery.
-            let mut s = FrameStream::response(
-                ResponseBody::from_responses(batch.clone()),
-                3,
-                VERSION,
-                chunk,
-            )
-            .unwrap();
-            let mut trickle = TrickleWriter(Vec::new());
-            let report = write_stream(&mut trickle, &mut s).unwrap();
-            assert_eq!(report.frames, s.frames_emitted());
-            assert_eq!(report.bytes as usize, trickle.0.len());
-            // Every frame's owned footprint stays below header + small
-            // metadata runs — far below the payload itself.
-            assert!(report.owned_peak < report.bytes as usize);
-            if chunk == 100 {
-                assert_eq!(trickle.0, expect);
-            }
-        }
     }
 
     #[test]
     fn reassembler_rejects_sequencing_violations() {
         let batch = sample_responses();
-        let mut s =
-            FrameStream::response(ResponseBody::from_responses(batch), 11, VERSION, 64).unwrap();
+        let mut s = FrameStream::response(ResponseBody::from_responses(batch), 11, 64).unwrap();
         let mut frames = Vec::new();
         while let Some(f) = s.next_frame() {
             frames.push(f.to_bytes(s.body()));

@@ -2,9 +2,8 @@
 //! backend shards must be a transparent front end. Every response —
 //! successes, typed per-request errors, deadline verdicts — must be
 //! bit-identical to a single in-process `Server` over the same catalog,
-//! on both reactor paths, and must *stay* bit-identical when a shard is
-//! killed mid-workload (seeded victim) and its keys fail over to their
-//! replicas. Placement skew is pinned by property test: at 128 virtual
+//! and must *stay* bit-identical when a shard is killed mid-workload
+//! (seeded victim) and its keys fail over to their replicas. Placement skew is pinned by property test: at 128 virtual
 //! nodes no shard owns more than 2× the mean key count.
 
 use exaclim::{ClimateEmulator, EmulatorConfig};
@@ -176,62 +175,45 @@ fn full_workload(seed: u64) -> Vec<Request> {
     batch
 }
 
-fn reactor_paths() -> [NetConfig; 2] {
-    [
-        NetConfig {
-            reactor: Some(true),
-            ..NetConfig::default()
-        },
-        NetConfig {
-            reactor: Some(false),
-            ..NetConfig::default()
-        },
-    ]
-}
-
 /// 4 shards behind a router vs one in-process server: every op type,
-/// bit-identical, on both reactor paths — and again through a
+/// bit-identical — and again through a
 /// router-backed `NetServer` front end over a real client socket.
 #[test]
 fn router_matches_single_server_bit_identically() {
-    for net in reactor_paths() {
-        let (reference, handles, specs) = spawn_cluster(4, &net);
-        let router = Arc::new(Router::connect(specs, RouterConfig::default()).unwrap());
+    let (reference, handles, specs) = spawn_cluster(4, &NetConfig::default());
+    let router = Arc::new(Router::connect(specs, RouterConfig::default()).unwrap());
 
-        for round in 0..3u64 {
-            let batch = full_workload(1000 + round);
-            assert_eq!(
-                router.handle_batch(&batch),
-                reference.handle_batch(&batch),
-                "reactor={:?} round {round}",
-                net.reactor
-            );
-        }
-
-        // The same equivalence through the wire front end: clients of a
-        // router-backed NetServer cannot tell it from a single server.
-        let front = NetServer::bind_router("127.0.0.1:0", Arc::clone(&router), net.clone())
-            .unwrap()
-            .spawn();
-        let mut client = Client::connect(front.addr()).unwrap();
-        let batch = full_workload(2000);
+    for round in 0..3u64 {
+        let batch = full_workload(1000 + round);
         assert_eq!(
-            client.batch(&batch).unwrap(),
+            router.handle_batch(&batch),
             reference.handle_batch(&batch),
-            "reactor={:?} via front end",
-            net.reactor
+            "round {round}"
         );
-        let stats = router.router_stats();
-        assert!(stats.routed >= 4 * full_workload(0).len() as u64);
-        assert!(
-            stats.fanout_batches >= 1,
-            "a full workload must split across shards: {stats:?}"
-        );
-        drop(client);
-        front.shutdown();
-        for h in handles {
-            h.shutdown();
-        }
+    }
+
+    // The same equivalence through the wire front end: clients of a
+    // router-backed NetServer cannot tell it from a single server.
+    let front = NetServer::bind_router("127.0.0.1:0", Arc::clone(&router), NetConfig::default())
+        .unwrap()
+        .spawn();
+    let mut client = Client::connect(front.addr()).unwrap();
+    let batch = full_workload(2000);
+    assert_eq!(
+        client.batch(&batch).unwrap(),
+        reference.handle_batch(&batch),
+        "via front end"
+    );
+    let stats = router.router_stats();
+    assert!(stats.routed >= 4 * full_workload(0).len() as u64);
+    assert!(
+        stats.fanout_batches >= 1,
+        "a full workload must split across shards: {stats:?}"
+    );
+    drop(client);
+    front.shutdown();
+    for h in handles {
+        h.shutdown();
     }
 }
 
@@ -245,40 +227,37 @@ fn shard_kill_failover_stays_bit_identical() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0xDEAD);
-    for net in reactor_paths() {
-        let (reference, mut handles, specs) = spawn_cluster(4, &net);
-        let router = Router::connect(specs, RouterConfig::default()).unwrap();
+    let (reference, mut handles, specs) = spawn_cluster(4, &NetConfig::default());
+    let router = Router::connect(specs, RouterConfig::default()).unwrap();
 
-        // Warm: all four shards answer.
-        let warm = full_workload(kill_seed);
-        assert_eq!(router.handle_batch(&warm), reference.handle_batch(&warm));
+    // Warm: all four shards answer.
+    let warm = full_workload(kill_seed);
+    assert_eq!(router.handle_batch(&warm), reference.handle_batch(&warm));
 
-        // Seeded victim, then the same workload shapes again.
-        let victim = (kill_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(17)
-            % handles.len() as u64) as usize;
-        handles.remove(victim).shutdown();
+    // Seeded victim, then the same workload shapes again.
+    let victim = (kill_seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(17)
+        % handles.len() as u64) as usize;
+    handles.remove(victim).shutdown();
 
-        for round in 0..3u64 {
-            let batch = full_workload(kill_seed + round);
-            assert_eq!(
-                router.handle_batch(&batch),
-                reference.handle_batch(&batch),
-                "reactor={:?} round {round} after killing shard {victim}",
-                net.reactor
-            );
-        }
-        let stats = router.router_stats();
-        assert!(
-            stats.failovers >= 1,
-            "killing shard {victim} must record a failover: {stats:?}"
+    for round in 0..3u64 {
+        let batch = full_workload(kill_seed + round);
+        assert_eq!(
+            router.handle_batch(&batch),
+            reference.handle_batch(&batch),
+            "round {round} after killing shard {victim}"
         );
-        let down = router.shard_health().iter().filter(|h| !h.alive).count();
-        assert!(down >= 1, "the victim must be marked down");
-        for h in handles {
-            h.shutdown();
-        }
+    }
+    let stats = router.router_stats();
+    assert!(
+        stats.failovers >= 1,
+        "killing shard {victim} must record a failover: {stats:?}"
+    );
+    let down = router.shard_health().iter().filter(|h| !h.alive).count();
+    assert!(down >= 1, "the victim must be marked down");
+    for h in handles {
+        h.shutdown();
     }
 }
 

@@ -390,7 +390,7 @@ fn stream_frames(id: u64, chunk: usize) -> Vec<Vec<u8>> {
         values,
     }))];
     let body = wire::ResponseBody::from_responses(responses);
-    let mut s = wire::FrameStream::response(body, id, wire::VERSION, chunk).unwrap();
+    let mut s = wire::FrameStream::response(body, id, chunk).unwrap();
     let mut frames = Vec::new();
     while let Some(f) = s.next_frame() {
         frames.push(f.to_bytes(s.body()));
