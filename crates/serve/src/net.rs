@@ -95,18 +95,24 @@
 //! ```
 
 use crate::error::{ServeError, WireError};
-use crate::product::{ProductData, ProductDescriptor, ScenarioSpec};
 use crate::router::Router;
-use crate::server::{Request, Response, ServeBackend, ServeStats, Server};
+use crate::server::{Request, ServeBackend, Server};
 use crate::wire::{self, FrameKind, HEADER_LEN};
-use event::{Reactor, Waker};
 use parking_lot::Mutex;
+use server::{Reactor, Waker};
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod client;
+/// The event loop: nonblocking frame state machines over the reactor.
+#[cfg(unix)]
+mod server;
+
+pub use client::{Client, ClientConfig, ClientStats, RetryPolicy};
 
 /// Tuning knobs of a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -159,7 +165,7 @@ impl Default for NetConfig {
 }
 
 /// Point-in-time transport counters of a [`NetServer`] (see
-/// [`NetServerHandle::net_stats`]). Complements [`ServeStats`], which
+/// [`NetServerHandle::net_stats`]). Complements [`crate::ServeStats`], which
 /// counts requests; these count connections, frames, and bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetStats {
@@ -405,7 +411,7 @@ impl NetServer {
     /// Start serving and return the controlling handle: dispatch
     /// workers plus the reactor thread (see the module docs).
     pub fn spawn(self) -> NetServerHandle {
-        event::spawn(self)
+        server::spawn(self)
     }
 }
 
@@ -479,15 +485,11 @@ impl Drop for NetServerHandle {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The event loop: nonblocking frame state machines over the reactor
-// ---------------------------------------------------------------------------
-
 /// Off unix there is no readiness reactor: [`Reactor::new`] reports
 /// `Unsupported`, so [`NetServer::bind`] fails and nothing else here can
 /// ever run.
 #[cfg(not(unix))]
-mod event {
+mod server {
     use super::{NetServer, NetServerHandle};
     use std::io;
 
@@ -511,1478 +513,5 @@ mod event {
 
     pub(super) fn spawn(server: NetServer) -> NetServerHandle {
         match server.reactor {}
-    }
-}
-
-#[cfg(unix)]
-mod event {
-    use super::*;
-    use exaclim_runtime::reactor::{Interest, Mode, Token};
-    pub(super) use exaclim_runtime::reactor::{Reactor, Waker};
-    use exaclim_store::crc32;
-    use parking_lot::Condvar;
-    use std::collections::HashMap;
-    use std::io::ErrorKind;
-    use std::os::unix::io::AsRawFd;
-
-    /// The listener's reactor token; connections count up from 1.
-    const LISTENER: Token = Token(0);
-
-    /// A decoded request batch on its way to a dispatch worker.
-    struct Job {
-        token: u64,
-        id: u64,
-        requests: Vec<Request>,
-        /// When the request frame was parsed off the socket. Per-request
-        /// deadline budgets ([`Request::WithDeadline`]) count from here,
-        /// so queue time under backlog spends the budget.
-        received: Instant,
-    }
-
-    /// A finished batch on its way back to the reactor: the encoded
-    /// response *body* — segments referencing chunk-cache buffers, not a
-    /// materialized frame. The reactor cuts it into wire frames on the
-    /// connection's write-drain.
-    struct Completion {
-        token: u64,
-        id: u64,
-        body: wire::ResponseBody,
-    }
-
-    /// The bridge between the reactor thread and the dispatch workers:
-    /// jobs flow out through a condvar queue, completions flow back
-    /// through a mutexed vector plus a wakeup-fd nudge.
-    struct Dispatch {
-        jobs: Mutex<(VecDeque<Job>, bool)>,
-        jobs_cv: Condvar,
-        completions: Mutex<Vec<Completion>>,
-        waker: Waker,
-        shared: Arc<NetShared>,
-    }
-
-    impl Dispatch {
-        fn push(&self, job: Job) {
-            self.jobs.lock().0.push_back(job);
-            self.jobs_cv.notify_one();
-        }
-
-        fn close(&self) {
-            self.jobs.lock().1 = true;
-            self.jobs_cv.notify_all();
-        }
-    }
-
-    /// Dispatch worker: pop a job, run the batch through the in-process
-    /// server (fanning out over the shared worker pool), encode the
-    /// response body — slice values as chunk-cache references, zero
-    /// copies — hand it back, nudge the reactor.
-    fn dispatch_worker(d: &Dispatch) {
-        loop {
-            let job = {
-                let mut q = d.jobs.lock();
-                loop {
-                    if let Some(job) = q.0.pop_front() {
-                        break job;
-                    }
-                    if q.1 {
-                        return;
-                    }
-                    d.jobs_cv.wait(&mut q);
-                }
-            };
-            // Fault site `dispatch`, and panic containment: a panic on
-            // this worker (injected or organic — a poisoned archive, a
-            // bug in a product kernel) must not strand the requester or
-            // kill the worker. Each request on the batch draws a typed
-            // retryable [`ServeError::Internal`] instead, and the worker
-            // survives to take the next job.
-            let received = job.received;
-            let requests = &job.requests;
-            let backend = &d.shared.backend;
-            let replies = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(action) = exaclim_runtime::faults::check("dispatch") {
-                    use exaclim_runtime::FaultAction;
-                    match action {
-                        FaultAction::Delay(dur) | FaultAction::Stall(dur) => {
-                            std::thread::sleep(dur)
-                        }
-                        FaultAction::Panic => panic!("injected dispatch fault"),
-                        _ => {}
-                    }
-                }
-                backend.batch_replies_from(requests, received)
-            }))
-            .unwrap_or_else(|_| {
-                job.requests
-                    .iter()
-                    .map(|_| {
-                        crate::server::Reply::Full(Err(ServeError::Internal(
-                            "request execution panicked".to_string(),
-                        )))
-                    })
-                    .collect()
-            });
-            let body = wire::encode_reply_batch(replies);
-            d.completions.lock().push(Completion {
-                token: job.token,
-                id: job.id,
-                body,
-            });
-            d.waker.wake();
-        }
-    }
-
-    /// Where a connection's state machine stands.
-    enum Phase {
-        /// Accumulating request bytes (header-scan / payload-accumulate).
-        Reading,
-        /// A decoded batch is executing on a dispatch worker; read
-        /// interest is off (one batch in flight per connection).
-        Dispatched,
-    }
-
-    /// A response (or error) mid-drain: a [`wire::FrameStream`] cutting
-    /// the body into frames on demand, plus the frame currently leaving.
-    /// Only `cur`'s header (and small copied metadata runs) is owned;
-    /// payload bytes stay in the shared chunk cache until `writev` reads
-    /// them, which is what bounds per-connection memory.
-    struct Outgoing {
-        stream: wire::FrameStream,
-        /// The staged frame and how many of its bytes have left.
-        cur: Option<(wire::OutFrame, usize)>,
-        /// Response frames count toward `frames_out`/`bytes_out`;
-        /// error frames do not.
-        is_response: bool,
-    }
-
-    /// Frames drained per connection per readiness round. A fat streamed
-    /// response yields the reactor back after this many frames so its
-    /// neighbours get their turn (level-triggered readiness re-announces
-    /// the still-writable socket next round).
-    const FRAMES_PER_ROUND: u32 = 8;
-
-    /// One connection's nonblocking state machine.
-    struct Conn {
-        stream: TcpStream,
-        /// Unparsed request bytes (at most one frame plus whatever the
-        /// socket delivered alongside it; read interest is off while a
-        /// batch executes or a response drains).
-        buf: Vec<u8>,
-        phase: Phase,
-        write: Option<Outgoing>,
-        /// Close once the pending write drains (error frames, shutdown).
-        close_after: bool,
-        /// The peer's write side closed; whatever is buffered is all
-        /// there will ever be.
-        eof: bool,
-        interest: Interest,
-        /// Last time this connection completed a frame in or pushed
-        /// response bytes out. The idle wheel is re-armed lazily from
-        /// this on expiry instead of on every frame (hot connections
-        /// would otherwise churn the deadline structure per frame).
-        last_activity: Instant,
-    }
-
-    impl Conn {
-        fn new(stream: TcpStream) -> Self {
-            Self {
-                stream,
-                buf: Vec::new(),
-                phase: Phase::Reading,
-                write: None,
-                close_after: false,
-                eof: false,
-                interest: Interest::READABLE,
-                last_activity: Instant::now(),
-            }
-        }
-    }
-
-    /// What the frame parser decided about the head of `Conn::buf`.
-    enum Parsed {
-        /// Not enough bytes yet; keep reading.
-        NeedMore,
-        /// The peer closed cleanly between frames.
-        CleanClose,
-        /// Transport-level violation: answer with an error frame carrying
-        /// this id and message, then close.
-        Fail { id: u64, msg: String },
-        /// A complete, valid request frame of `total` bytes carrying
-        /// this batch.
-        Request {
-            id: u64,
-            total: usize,
-            requests: Vec<Request>,
-        },
-    }
-
-    /// The reactor thread's whole world.
-    struct EventLoop {
-        reactor: Reactor,
-        listener: Option<TcpListener>,
-        accepting: bool,
-        conns: HashMap<u64, Conn>,
-        next_token: u64,
-        scratch: Vec<u8>,
-        draining: bool,
-        dispatch: Arc<Dispatch>,
-        shared: Arc<NetShared>,
-        config: NetConfig,
-    }
-
-    /// Launch the server: dispatch workers plus the reactor thread, all
-    /// joined by [`NetServerHandle::shutdown`].
-    pub(super) fn spawn(server: NetServer) -> NetServerHandle {
-        let NetServer {
-            listener,
-            addr,
-            reactor,
-            shared,
-            config,
-        } = server;
-        let waker = reactor.waker();
-        let dispatch = Arc::new(Dispatch {
-            jobs: Mutex::new((VecDeque::new(), false)),
-            jobs_cv: Condvar::new(),
-            completions: Mutex::new(Vec::new()),
-            waker: reactor.waker(),
-            shared: Arc::clone(&shared),
-        });
-        let workers = if config.dispatch_threads == 0 {
-            exaclim_runtime::pool::global().threads().clamp(1, 8)
-        } else {
-            config.dispatch_threads
-        };
-        let mut threads = Vec::with_capacity(workers + 1);
-        for i in 0..workers {
-            let d = Arc::clone(&dispatch);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("exaclim-net-dispatch-{i}"))
-                    .spawn(move || dispatch_worker(&d))
-                    .expect("spawn dispatch worker"),
-            );
-        }
-        let loop_shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("exaclim-net-reactor".to_string())
-                .spawn(move || {
-                    let mut el = EventLoop {
-                        reactor,
-                        listener: Some(listener),
-                        accepting: false,
-                        conns: HashMap::new(),
-                        next_token: 1,
-                        scratch: vec![0u8; 64 * 1024],
-                        draining: false,
-                        dispatch,
-                        shared: loop_shared,
-                        config,
-                    };
-                    el.run();
-                    // No connection can produce work anymore: release the
-                    // dispatch workers so the handle can join them.
-                    el.dispatch.close();
-                })
-                .expect("spawn reactor thread"),
-        );
-        NetServerHandle {
-            addr,
-            shared,
-            threads,
-            waker,
-        }
-    }
-
-    impl EventLoop {
-        fn run(&mut self) {
-            if let Some(listener) = &self.listener {
-                if self
-                    .reactor
-                    .register(
-                        listener.as_raw_fd(),
-                        LISTENER,
-                        Interest::READABLE,
-                        Mode::Level,
-                    )
-                    .is_err()
-                {
-                    return;
-                }
-                self.accepting = true;
-            }
-            let mut events = Vec::new();
-            let mut expired = Vec::new();
-            loop {
-                let woken = match self.reactor.poll(&mut events, &mut expired, None) {
-                    Ok(woken) => woken,
-                    Err(_) => {
-                        // EBADF and friends are unrecoverable program
-                        // bugs; anything transient deserves a breather,
-                        // not a hot spin.
-                        std::thread::sleep(Duration::from_millis(1));
-                        false
-                    }
-                };
-                if woken {
-                    self.shared
-                        .stats
-                        .reactor_wakeups
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                // Completions first: they free connections back into
-                // write-drain before this round's readiness is handled.
-                let done: Vec<Completion> = std::mem::take(&mut *self.dispatch.completions.lock());
-                for completion in done {
-                    self.complete(completion);
-                }
-                if self.shared.shutdown.load(Ordering::SeqCst) && !self.draining {
-                    self.begin_drain();
-                }
-                for ev in events.drain(..) {
-                    if ev.token == LISTENER {
-                        self.accept_burst();
-                    } else {
-                        self.conn_event(ev);
-                    }
-                }
-                for token in expired.drain(..) {
-                    self.expire(token.0);
-                }
-                self.resume_accepting_if_room();
-                if self.draining && self.conns.is_empty() {
-                    return;
-                }
-            }
-        }
-
-        /// A dispatch worker finished a batch for `token`: stage the body
-        /// as a frame stream on the connection's write-drain.
-        fn complete(&mut self, completion: Completion) {
-            let Some(conn) = self.conns.get_mut(&completion.token) else {
-                return; // connection died while its batch executed
-            };
-            match wire::FrameStream::response(
-                completion.body,
-                completion.id,
-                self.config.stream_chunk_bytes,
-            ) {
-                Ok(stream) => {
-                    conn.phase = Phase::Reading;
-                    conn.write = Some(Outgoing {
-                        stream,
-                        cur: None,
-                        is_response: true,
-                    });
-                    // Optimistic drain: the socket is almost always
-                    // writable, so most responses leave without waiting
-                    // for a readiness round trip.
-                    self.conn_write(completion.token);
-                }
-                // Response over the payload cap: close.
-                Err(_) => self.close_conn(completion.token),
-            }
-        }
-
-        /// Shutdown observed: stop accepting, close idle connections,
-        /// and mark the busy ones to close as soon as they drain.
-        fn begin_drain(&mut self) {
-            self.draining = true;
-            self.pause_accepting();
-            // Dropping the listener refuses new connections outright.
-            self.listener = None;
-            let idle: Vec<u64> = self
-                .conns
-                .iter()
-                .filter(|(_, c)| c.write.is_none() && matches!(c.phase, Phase::Reading))
-                .map(|(&t, _)| t)
-                .collect();
-            for token in idle {
-                self.close_conn(token);
-            }
-            // Busy connections drain (dispatched batch → response write →
-            // close). A deadline bounds the drain even when no idle
-            // timeout is configured, so a dead peer cannot hang shutdown.
-            let drain_deadline =
-                Instant::now() + self.config.idle_timeout.unwrap_or(Duration::from_secs(5));
-            let busy: Vec<u64> = self.conns.keys().copied().collect();
-            for token in busy {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.close_after = true;
-                }
-                self.reactor.set_deadline(Token(token), drain_deadline);
-            }
-        }
-
-        fn pause_accepting(&mut self) {
-            if self.accepting {
-                let _ = self.reactor.deregister(LISTENER);
-                self.accepting = false;
-            }
-        }
-
-        fn resume_accepting_if_room(&mut self) {
-            if self.accepting || self.draining || self.conns.len() >= self.config.max_connections {
-                return;
-            }
-            if let Some(listener) = &self.listener {
-                if self
-                    .reactor
-                    .register(
-                        listener.as_raw_fd(),
-                        LISTENER,
-                        Interest::READABLE,
-                        Mode::Level,
-                    )
-                    .is_ok()
-                {
-                    self.accepting = true;
-                }
-            }
-        }
-
-        /// Accept everything the backlog has, up to the connection cap.
-        fn accept_burst(&mut self) {
-            loop {
-                if self.draining {
-                    return;
-                }
-                if self.conns.len() >= self.config.max_connections {
-                    // At capacity: stop listening so a level-triggered
-                    // backlog does not spin the loop; the backlog itself
-                    // is the admission queue.
-                    self.pause_accepting();
-                    return;
-                }
-                let Some(listener) = &self.listener else {
-                    return;
-                };
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            continue; // dropped → closed
-                        }
-                        let _ = stream.set_nodelay(true);
-                        let token = self.next_token;
-                        self.next_token += 1;
-                        if self
-                            .reactor
-                            .register(
-                                stream.as_raw_fd(),
-                                Token(token),
-                                Interest::READABLE,
-                                Mode::Level,
-                            )
-                            .is_err()
-                        {
-                            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        self.shared
-                            .stats
-                            .connections
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.shared.stats.conn_opened();
-                        self.conns.insert(token, Conn::new(stream));
-                        self.reset_deadline(token);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        // fd exhaustion or a reset mid-handshake: the
-                        // connection is lost but the listener survives.
-                        self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            }
-        }
-
-        /// Route one readiness event to the connection's state machine.
-        fn conn_event(&mut self, ev: exaclim_runtime::reactor::Event) {
-            let token = ev.token.0;
-            let Some(conn) = self.conns.get(&token) else {
-                return; // closed earlier this round
-            };
-            if ev.error {
-                self.shared
-                    .stats
-                    .wire_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                self.close_conn(token);
-                return;
-            }
-            if ev.writable && conn.write.is_some() {
-                self.conn_write(token);
-            }
-            let Some(conn) = self.conns.get(&token) else {
-                return;
-            };
-            if conn.write.is_none() && matches!(conn.phase, Phase::Reading) && !conn.eof {
-                if ev.readable || ev.hangup {
-                    self.conn_read(token);
-                }
-            } else if ev.hangup && conn.write.is_none() && matches!(conn.phase, Phase::Reading) {
-                // EOF already seen and nothing left to write: done.
-                self.close_conn(token);
-            }
-        }
-
-        /// Drain the socket into the connection's buffer, then parse.
-        fn conn_read(&mut self, token: u64) {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            // Fault site `net.read`. ShortRead caps this round at one
-            // byte (the parser must already tolerate arbitrary
-            // fragmentation — this proves it); Interrupt skips the round
-            // as a kernel EINTR would (level-triggered readiness
-            // re-announces the socket); Reset fails the connection as a
-            // peer reset would. Delays run on the reactor thread — a
-            // stalled event loop is exactly the pathology they model.
-            let mut read_cap = self.scratch.len();
-            if let Some(action) = exaclim_runtime::faults::check("net.read") {
-                use exaclim_runtime::FaultAction;
-                match action {
-                    FaultAction::ShortRead => read_cap = 1,
-                    FaultAction::Interrupt => return,
-                    FaultAction::Reset => {
-                        self.shared
-                            .stats
-                            .wire_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.close_conn(token);
-                        return;
-                    }
-                    FaultAction::Delay(dur) | FaultAction::Stall(dur) => std::thread::sleep(dur),
-                    _ => {}
-                }
-            }
-            let mut failed = false;
-            loop {
-                match conn.stream.read(&mut self.scratch[..read_cap]) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.buf.extend_from_slice(&self.scratch[..n]);
-                        if read_cap < self.scratch.len() {
-                            break; // injected short read: one byte this round
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if failed {
-                // Socket-level read failure (reset mid-frame, say): count
-                // a wire error and close.
-                self.shared
-                    .stats
-                    .wire_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                self.close_conn(token);
-                return;
-            }
-            self.advance(token);
-        }
-
-        /// Run the frame parser over the head of the buffer and act on
-        /// the outcome: dispatch, reject, wait, or close.
-        fn advance(&mut self, token: u64) {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.write.is_some() || matches!(conn.phase, Phase::Dispatched) {
-                return; // back-pressure: one batch/response at a time
-            }
-            match parse_head(conn, &self.shared.stats) {
-                Parsed::NeedMore => self.sync_interest(token),
-                Parsed::CleanClose => self.close_conn(token),
-                Parsed::Fail { id, msg } => self.fail_conn(token, id, &msg),
-                Parsed::Request {
-                    id,
-                    total,
-                    requests,
-                } => {
-                    self.shared
-                        .stats
-                        .requests
-                        .fetch_add(requests.len() as u64, Ordering::Relaxed);
-                    let conn = self.conns.get_mut(&token).expect("conn just parsed");
-                    conn.buf.drain(..total);
-                    // A complete frame arrived: this peer is live.
-                    conn.last_activity = Instant::now();
-                    // Overload protection: past the dispatch backlog
-                    // threshold, shed instead of queueing doomed work. A
-                    // shed batch draws a well-formed response frame with
-                    // one retryable `Overloaded` per request — cheaper
-                    // than executing, and the connection stays open for
-                    // the retry.
-                    let backlog = self.config.max_dispatch_backlog;
-                    if backlog > 0 && self.dispatch.jobs.lock().0.len() >= backlog {
-                        self.shed(token, id, requests.len());
-                        return;
-                    }
-                    conn.phase = Phase::Dispatched;
-                    self.sync_interest(token);
-                    self.dispatch.push(Job {
-                        token,
-                        id,
-                        requests,
-                        received: Instant::now(),
-                    });
-                }
-            }
-        }
-
-        /// Answer a shed batch without dispatching: one retryable
-        /// [`ServeError::Overloaded`] per request, staged on the
-        /// write-drain like any other response. The connection stays
-        /// open — shedding is back-pressure, not punishment.
-        fn shed(&mut self, token: u64, id: u64, n_requests: usize) {
-            self.shared
-                .stats
-                .shed
-                .fetch_add(n_requests as u64, Ordering::Relaxed);
-            let retry_after_ms = self.config.shed_retry_after_ms;
-            let replies: Vec<crate::server::Reply> = (0..n_requests)
-                .map(|_| crate::server::Reply::Full(Err(ServeError::Overloaded { retry_after_ms })))
-                .collect();
-            let body = wire::encode_reply_batch(replies);
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            match wire::FrameStream::response(body, id, self.config.stream_chunk_bytes) {
-                Ok(stream) => {
-                    conn.write = Some(Outgoing {
-                        stream,
-                        cur: None,
-                        is_response: true,
-                    });
-                    self.conn_write(token);
-                }
-                Err(_) => self.close_conn(token),
-            }
-        }
-
-        /// Transport-level violation: count it, answer best-effort with
-        /// an error frame, and close once (if) it drains.
-        fn fail_conn(&mut self, token: u64, id: u64, msg: &str) {
-            self.shared
-                .stats
-                .wire_errors
-                .fetch_add(1, Ordering::Relaxed);
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            let body = wire::ResponseBody::from_payload(wire::encode_error_payload(msg));
-            match wire::FrameStream::single(FrameKind::Error, id, body) {
-                Ok(stream) => {
-                    conn.close_after = true;
-                    conn.write = Some(Outgoing {
-                        stream,
-                        cur: None,
-                        is_response: false,
-                    });
-                    self.conn_write(token);
-                }
-                Err(_) => self.close_conn(token),
-            }
-        }
-
-        /// Drain pending response frames into the socket: cut frames on
-        /// demand from the connection's [`wire::FrameStream`] and push
-        /// each out with gathered `writev` straight from the shared
-        /// chunk buffers, up to [`FRAMES_PER_ROUND`] frames per call so
-        /// one fat streamed response cannot starve its neighbours
-        /// (level-triggered readiness resumes it next round).
-        fn conn_write(&mut self, token: u64) {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.write.is_none() {
-                return;
-            }
-            // Fault site `net.write`. Reset fails the connection as a
-            // peer reset mid-response would (the client sees a truncated
-            // stream); Interrupt yields the round; delays stall the
-            // drain. Unrealizable actions degrade to no-ops.
-            if let Some(action) = exaclim_runtime::faults::check("net.write") {
-                use exaclim_runtime::FaultAction;
-                match action {
-                    FaultAction::Reset => {
-                        self.close_conn(token);
-                        return;
-                    }
-                    FaultAction::Interrupt => return,
-                    FaultAction::Delay(dur) | FaultAction::Stall(dur) => std::thread::sleep(dur),
-                    _ => {}
-                }
-            }
-            let mut failed = false;
-            let mut progressed = false;
-            let mut finished = false;
-            let mut round = 0u32;
-            'frames: loop {
-                let out = conn.write.as_mut().expect("checked above");
-                // Stage the next frame when none is mid-drain.
-                if out.cur.is_none() {
-                    match out.stream.next_frame() {
-                        Some(frame) => {
-                            self.shared
-                                .stats
-                                .note_conn_buffered(frame.owned_len(out.stream.body()));
-                            out.cur = Some((frame, 0));
-                        }
-                        None => {
-                            finished = true;
-                            break;
-                        }
-                    }
-                }
-                let Outgoing {
-                    stream,
-                    cur,
-                    is_response,
-                } = out;
-                let (frame, written) = cur.as_mut().expect("staged above");
-                let total = frame.total_len();
-                let mut bufs: Vec<std::io::IoSlice<'_>> = Vec::new();
-                while *written < total {
-                    bufs.clear();
-                    frame.remaining_slices(stream.body(), *written, &mut bufs, wire::MAX_WRITE_IOV);
-                    match conn.stream.write_vectored(&bufs) {
-                        Ok(0) => {
-                            failed = true;
-                            break 'frames;
-                        }
-                        Ok(n) => {
-                            *written += n;
-                            progressed = true;
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break 'frames,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            failed = true;
-                            break 'frames;
-                        }
-                    }
-                }
-                // One frame fully out: count it, drop its staging, move on.
-                if *is_response {
-                    self.shared.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .stats
-                        .bytes_out
-                        .fetch_add(total as u64, Ordering::Relaxed);
-                }
-                let was_last = frame.last;
-                *cur = None;
-                if was_last {
-                    finished = true;
-                    break;
-                }
-                // Fault site `net.write.frame`: between stream
-                // fragments, where a stall holds the peer mid-reassembly
-                // and a reset leaves it with a truncated stream.
-                if let Some(action) = exaclim_runtime::faults::check("net.write.frame") {
-                    use exaclim_runtime::FaultAction;
-                    match action {
-                        FaultAction::Delay(d) | FaultAction::Stall(d) => std::thread::sleep(d),
-                        FaultAction::Reset => {
-                            failed = true;
-                            break 'frames;
-                        }
-                        _ => {}
-                    }
-                }
-                round += 1;
-                if round >= FRAMES_PER_ROUND {
-                    break; // yield to the other connections this round
-                }
-            }
-            if failed {
-                // A failed write closes the connection without counting
-                // a wire error.
-                self.close_conn(token);
-                return;
-            }
-            if finished {
-                self.finish_write(token);
-                return;
-            }
-            if progressed {
-                // The peer is draining, just slowly — not idle.
-                conn.last_activity = Instant::now();
-            }
-            self.sync_interest(token);
-        }
-
-        /// A whole response (or error frame) fully left the socket:
-        /// bucket its frame count, close if it was a goodbye, otherwise
-        /// re-parse whatever the client pipelined.
-        fn finish_write(&mut self, token: u64) {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            let out = conn.write.take().expect("finish_write without a write");
-            if out.is_response {
-                self.shared
-                    .stats
-                    .response_written(out.stream.frames_emitted(), out.stream.is_streamed());
-            }
-            if conn.close_after {
-                self.close_conn(token);
-                return;
-            }
-            conn.last_activity = Instant::now();
-            // Level-triggered readiness will not re-announce bytes we
-            // already buffered: pipelined frames must be re-parsed now,
-            // not when the socket next stirs.
-            self.advance(token);
-        }
-
-        /// Keep the reactor's armed interest in sync with the state
-        /// machine: write-drain → writable, dispatched → muted,
-        /// reading → readable.
-        fn sync_interest(&mut self, token: u64) {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            let want = if conn.write.is_some() {
-                Interest::WRITABLE
-            } else if matches!(conn.phase, Phase::Dispatched) {
-                Interest::NONE
-            } else {
-                Interest::READABLE
-            };
-            if conn.interest != want {
-                conn.interest = want;
-                let _ = self.reactor.modify(Token(token), want);
-            }
-        }
-
-        /// Arm the idle deadline, when one is configured. Called once at
-        /// accept (and when a deadline needs explicit re-arming); hot
-        /// connections only touch `Conn::last_activity` per frame, and
-        /// [`EventLoop::expire`] re-arms lazily from that — one wheel
-        /// operation per idle period instead of one per frame.
-        fn reset_deadline(&mut self, token: u64) {
-            if let Some(idle) = self.config.idle_timeout {
-                self.reactor
-                    .set_deadline(Token(token), Instant::now() + idle);
-            }
-        }
-
-        /// A deadline fired: reap the connection unless its batch is
-        /// still executing (compute time is not idle time) or it was in
-        /// fact recently active — deadlines are armed lazily, so the
-        /// wheel entry of a busy connection is usually stale; re-arm it
-        /// at the true idle deadline instead.
-        fn expire(&mut self, token: u64) {
-            let Some(conn) = self.conns.get(&token) else {
-                return;
-            };
-            if matches!(conn.phase, Phase::Dispatched) {
-                self.reset_deadline(token);
-                return;
-            }
-            // While draining for shutdown the deadline set by
-            // [`EventLoop::begin_drain`] is absolute: a peer draining
-            // its half-written response slowly gets exactly that grace,
-            // then a hard close (the client sees a typed truncated
-            // stream) — progress must not extend shutdown forever.
-            if !self.draining {
-                if let Some(idle) = self.config.idle_timeout {
-                    let due = conn.last_activity + idle;
-                    if due > Instant::now() {
-                        self.reactor.set_deadline(Token(token), due);
-                        return;
-                    }
-                }
-            }
-            self.shared
-                .stats
-                .reaped_idle
-                .fetch_add(1, Ordering::Relaxed);
-            self.close_conn(token);
-        }
-
-        fn close_conn(&mut self, token: u64) {
-            if let Some(conn) = self.conns.remove(&token) {
-                let _ = self.reactor.deregister(Token(token));
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                self.shared.stats.conn_closed();
-            }
-        }
-    }
-
-    /// Pure frame parser over the head of a connection's buffer. Splits
-    /// cleanly from the event loop so the counting/bookkeeping above
-    /// stays free of byte-level detail. Counts `frames_in`/`bytes_in`
-    /// itself (on complete, checksum-valid request frames).
-    fn parse_head(conn: &mut Conn, stats: &NetStatCells) -> Parsed {
-        if conn.buf.len() < HEADER_LEN {
-            return if conn.eof {
-                if conn.buf.is_empty() {
-                    Parsed::CleanClose
-                } else {
-                    Parsed::Fail {
-                        id: 0,
-                        msg: WireError::Truncated {
-                            context: "frame header",
-                        }
-                        .to_string(),
-                    }
-                }
-            } else {
-                Parsed::NeedMore
-            };
-        }
-        let header_bytes: [u8; HEADER_LEN] =
-            conn.buf[..HEADER_LEN].try_into().expect("header slice");
-        let header = match wire::FrameHeader::decode(&header_bytes) {
-            Ok(header) => header,
-            Err(e) => {
-                return Parsed::Fail {
-                    id: 0,
-                    msg: e.to_string(),
-                }
-            }
-        };
-        let total = HEADER_LEN + header.len as usize;
-        if conn.buf.len() < total {
-            if conn.eof {
-                return Parsed::Fail {
-                    id: 0,
-                    msg: WireError::Truncated {
-                        context: "frame payload",
-                    }
-                    .to_string(),
-                };
-            }
-            conn.buf.reserve(total - conn.buf.len());
-            return Parsed::NeedMore;
-        }
-        let payload = &conn.buf[HEADER_LEN..total];
-        let actual = crc32(payload);
-        if actual != header.crc {
-            return Parsed::Fail {
-                id: 0,
-                msg: WireError::ChecksumMismatch {
-                    expected: header.crc,
-                    actual,
-                }
-                .to_string(),
-            };
-        }
-        if header.kind != FrameKind::Request {
-            return Parsed::Fail {
-                id: header.id,
-                msg: format!("unexpected frame kind {} from client", header.kind.id()),
-            };
-        }
-        stats.frames_in.fetch_add(1, Ordering::Relaxed);
-        stats.bytes_in.fetch_add(total as u64, Ordering::Relaxed);
-        match wire::decode_request_batch(payload) {
-            Ok(requests) => Parsed::Request {
-                id: header.id,
-                total,
-                requests,
-            },
-            Err(e) => Parsed::Fail {
-                id: header.id,
-                msg: e.to_string(),
-            },
-        }
-    }
-}
-
-/// Capped exponential backoff with decorrelated jitter and a retry
-/// budget — the client half of the resilience layer (see
-/// [`ClientConfig::retry`]).
-///
-/// Each retry draws its delay uniformly from `base_delay ..
-/// min(max_delay, 3 × previous_delay)` — "decorrelated jitter", which
-/// spreads a thundering herd of retrying clients across time instead of
-/// synchronizing them into repeated stampedes. The jitter stream is
-/// seeded, so a given client's backoff schedule is reproducible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Most retries one operation (a [`Client::batch`] call, one
-    /// [`Client::recv`]) may spend before the error is surfaced.
-    pub max_retries: u32,
-    /// Lower bound of every backoff delay.
-    pub base_delay: Duration,
-    /// Upper bound of every backoff delay (and of honored
-    /// [`ServeError::Overloaded::retry_after_ms`] hints).
-    pub max_delay: Duration,
-    /// Seed of the jitter stream: same seed ⇒ same backoff schedule.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    /// 8 retries, 5 ms base, 1 s cap.
-    fn default() -> Self {
-        Self {
-            max_retries: 8,
-            base_delay: Duration::from_millis(5),
-            max_delay: Duration::from_secs(1),
-            seed: 0x5EED,
-        }
-    }
-}
-
-/// Connection and resilience knobs of a [`Client`] (see
-/// [`Client::connect_with`]).
-#[derive(Debug, Clone, Default)]
-pub struct ClientConfig {
-    /// Bound on establishing the TCP connection, applied per resolved
-    /// address; `None` blocks on the OS default (which against a
-    /// dead-but-routable address can be minutes).
-    pub connect_timeout: Option<Duration>,
-    /// Socket read timeout: a server that stops talking mid-frame
-    /// surfaces as a retryable [`WireError::Io`] instead of a hang.
-    pub read_timeout: Option<Duration>,
-    /// Socket write timeout, same rationale as
-    /// [`ClientConfig::read_timeout`].
-    pub write_timeout: Option<Duration>,
-    /// Label this connection's peer in transport errors
-    /// ([`WireError::with_peer`]): a router pooling clients to N shards
-    /// names each one (`shard-2@127.0.0.1:4042`), so a dead backend is
-    /// attributable in logs and tests. `None` (the default) labels with
-    /// the first resolved address.
-    pub peer: Option<String>,
-    /// Self-healing: `Some` arms transport-level reconnect-with-replay
-    /// (every serving op is read-only, so replaying in-flight pipelined
-    /// requests is safe) and batch-level retry of retryable per-request
-    /// errors ([`ServeError::retryable`]), honoring the server's
-    /// [`ServeError::Overloaded::retry_after_ms`] hint. `None` (the
-    /// default) surfaces every failure immediately — behaviorally
-    /// identical to the pre-resilience client.
-    pub retry: Option<RetryPolicy>,
-}
-
-/// Resilience counters of one [`Client`] (see [`Client::client_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClientStats {
-    /// Retries spent: transport-level (reconnect + replay) and
-    /// batch-level (retryable per-request errors) combined.
-    pub retries: u64,
-    /// Reconnect attempts made while self-healing.
-    pub reconnects: u64,
-}
-
-/// A blocking client over one reused connection.
-///
-/// [`Client::batch`] is the wire twin of [`Server::handle_batch`]: same
-/// request slice in, same `Vec<Result<Response, ServeError>>` out,
-/// bit-identical responses. For pipelining, [`Client::send`] and
-/// [`Client::recv`] split the round trip: several batches may be in
-/// flight on the connection at once, and responses arrive in send order.
-///
-/// Large responses arrive as CRC-checked stream fragments which
-/// [`Client::recv`] reassembles transparently — the result is
-/// bit-identical to the same response sent as a single frame.
-///
-/// With a [`RetryPolicy`] armed ([`ClientConfig::retry`]) the client
-/// **self-heals**: retryable transport failures (resets, truncated
-/// streams, socket errors — [`WireError::retryable`]) trigger a
-/// reconnect that replays every in-flight batch under fresh frame ids,
-/// and retryable per-request errors ([`ServeError::Overloaded`],
-/// [`ServeError::Internal`]) make [`Client::batch`] back off and
-/// resubmit. Without a policy every failure surfaces immediately.
-pub struct Client {
-    addrs: Vec<SocketAddr>,
-    config: ClientConfig,
-    /// Label stamped onto transport errors ([`ClientConfig::peer`], or
-    /// the first resolved address).
-    peer: String,
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    next_id: u64,
-    /// Oldest-first in-flight batches: `(frame id, requests)`. The
-    /// requests are retained (when a retry policy is armed) so a
-    /// reconnect can replay them verbatim.
-    in_flight: VecDeque<(u64, Vec<Request>)>,
-    stats: ClientStats,
-    /// Jitter stream state (splitmix64 over [`RetryPolicy::seed`]).
-    rng: u64,
-    /// Previous backoff delay, feeding the decorrelated-jitter window.
-    last_delay: Duration,
-}
-
-impl std::fmt::Debug for Client {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Client")
-            .field("peer", &self.peer)
-            .field("next_id", &self.next_id)
-            .field("in_flight", &self.in_flight.len())
-            .field("retries", &self.stats.retries)
-            .finish()
-    }
-}
-
-impl Client {
-    /// Connect to a [`NetServer`] with no timeouts and no retry policy.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WireError> {
-        Self::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connect with explicit [`ClientConfig`] — timeouts and, when
-    /// [`ClientConfig::retry`] is `Some`, self-healing.
-    pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Self, WireError> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs().map_err(WireError::from)?.collect();
-        if addrs.is_empty() {
-            return Err(WireError::Io("address resolved to nothing".to_string()));
-        }
-        let peer = config.peer.clone().unwrap_or_else(|| addrs[0].to_string());
-        let stream = Self::open_stream(&addrs, &config).map_err(|e| e.with_peer(&peer))?;
-        let reader_stream = stream.try_clone().map_err(WireError::from)?;
-        let rng = config.retry.as_ref().map_or(1, |p| p.seed | 1);
-        Ok(Self {
-            addrs,
-            config,
-            peer,
-            reader: BufReader::new(reader_stream),
-            writer: BufWriter::new(stream),
-            next_id: 1,
-            in_flight: VecDeque::new(),
-            stats: ClientStats::default(),
-            rng,
-            last_delay: Duration::ZERO,
-        })
-    }
-
-    /// This client's resilience counters so far.
-    pub fn client_stats(&self) -> ClientStats {
-        self.stats
-    }
-
-    /// The peer label stamped onto this client's transport errors
-    /// ([`ClientConfig::peer`], defaulting to the connected address).
-    pub fn peer(&self) -> &str {
-        &self.peer
-    }
-
-    /// Open one TCP connection to the first answering resolved address,
-    /// honoring the configured timeouts.
-    fn open_stream(addrs: &[SocketAddr], config: &ClientConfig) -> Result<TcpStream, WireError> {
-        let mut last: Option<WireError> = None;
-        for addr in addrs {
-            let attempt = match config.connect_timeout {
-                Some(timeout) => TcpStream::connect_timeout(addr, timeout),
-                None => TcpStream::connect(addr),
-            };
-            match attempt {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_read_timeout(config.read_timeout);
-                    let _ = stream.set_write_timeout(config.write_timeout);
-                    return Ok(stream);
-                }
-                Err(e) => last = Some(WireError::from(e)),
-            }
-        }
-        Err(last.unwrap_or_else(|| WireError::Io("address resolved to nothing".to_string())))
-    }
-
-    /// Whether `e` is worth another attempt under the armed policy.
-    fn should_retry(&self, e: &WireError, attempt: u32) -> bool {
-        e.retryable()
-            && self
-                .config
-                .retry
-                .as_ref()
-                .is_some_and(|p| attempt < p.max_retries)
-    }
-
-    /// Sleep before a retry: the server's hint when it gave one,
-    /// decorrelated jitter otherwise, both capped at
-    /// [`RetryPolicy::max_delay`].
-    fn sleep_backoff(&mut self, hint: Option<Duration>) {
-        let Some(policy) = self.config.retry.clone() else {
-            return;
-        };
-        let delay = hint
-            .unwrap_or_else(|| self.next_backoff(&policy))
-            .min(policy.max_delay);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-    }
-
-    /// Next decorrelated-jitter delay: uniform in
-    /// `base .. min(cap, 3 × previous)`.
-    fn next_backoff(&mut self, policy: &RetryPolicy) -> Duration {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let base = policy.base_delay.max(Duration::from_micros(100));
-        let prev = self.last_delay.max(base);
-        let span = (prev * 3).min(policy.max_delay.max(base));
-        let spread = (span.as_nanos().saturating_sub(base.as_nanos()).max(1)) as u64;
-        let delay = base + Duration::from_nanos(z % spread);
-        self.last_delay = delay;
-        delay
-    }
-
-    /// Reconnect and replay every in-flight batch, oldest first, under
-    /// fresh frame ids. Sound because every serving operation is
-    /// read-only: replaying a request cannot double-apply anything, and
-    /// the responses are bit-identical to what the lost connection would
-    /// have carried.
-    fn reconnect_and_replay(&mut self) -> Result<(), WireError> {
-        self.stats.reconnects += 1;
-        let stream = Self::open_stream(&self.addrs, &self.config)?;
-        let reader_stream = stream.try_clone().map_err(WireError::from)?;
-        self.reader = BufReader::new(reader_stream);
-        self.writer = BufWriter::new(stream);
-        for entry in self.in_flight.iter_mut() {
-            let id = self.next_id;
-            self.next_id += 1;
-            let payload = wire::encode_request_batch(&entry.1);
-            wire::write_frame_vectored(&mut self.writer, FrameKind::Request, id, &payload)?;
-            entry.0 = id;
-        }
-        self.writer.flush().map_err(WireError::from)?;
-        Ok(())
-    }
-
-    /// Write one request frame and flush it, consuming a frame id.
-    fn write_batch_frame(&mut self, requests: &[Request]) -> Result<u64, WireError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let payload = wire::encode_request_batch(requests);
-        wire::write_frame_vectored(&mut self.writer, FrameKind::Request, id, &payload)?;
-        self.writer.flush().map_err(WireError::from)?;
-        Ok(id)
-    }
-
-    /// Send one request batch and return its frame id without waiting
-    /// for the response — the pipelining half of [`Client::batch`].
-    /// With a retry policy armed, a retryable transport failure here
-    /// reconnects (replaying older in-flight batches) and tries again.
-    pub fn send(&mut self, requests: &[Request]) -> Result<u64, WireError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.write_batch_frame(requests) {
-                Ok(id) => {
-                    // Retain the requests only when a policy might need
-                    // to replay them; the hot no-retry path keeps its
-                    // old zero-copy bookkeeping.
-                    let stored = if self.config.retry.is_some() {
-                        requests.to_vec()
-                    } else {
-                        Vec::new()
-                    };
-                    self.in_flight.push_back((id, stored));
-                    return Ok(id);
-                }
-                Err(e) if self.should_retry(&e, attempt) => {
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    self.sleep_backoff(None);
-                    // A failed reconnect leaves the dead socket in
-                    // place; the next write fails and spends another
-                    // attempt until the budget runs out.
-                    let _ = self.reconnect_and_replay();
-                }
-                Err(e) => return Err(e.with_peer(&self.peer)),
-            }
-        }
-    }
-
-    /// Receive the response batch for the oldest in-flight
-    /// [`Client::send`], reassembling streamed responses transparently:
-    /// the read loop accepts stream fragments (in sequence order, on the
-    /// expected frame id) until the `FIN` fragment lands, and decodes
-    /// the reassembled payload exactly as it would a single response
-    /// frame. An error frame is honored even mid-stream; a connection
-    /// close or stray response frame mid-stream is
-    /// [`WireError::StreamTruncated`]. With a retry policy armed, a
-    /// retryable transport failure reconnects, replays every in-flight
-    /// batch, and resumes waiting.
-    pub fn recv(&mut self) -> Result<Vec<Result<Response, ServeError>>, WireError> {
-        if self.in_flight.is_empty() {
-            return Err(WireError::Malformed(
-                "recv with no request in flight".to_string(),
-            ));
-        }
-        let mut attempt = 0u32;
-        loop {
-            let expected = self.in_flight.front().expect("checked above").0;
-            match self.recv_batch_frame(expected) {
-                Ok(responses) => {
-                    self.in_flight.pop_front();
-                    return Ok(responses);
-                }
-                Err(e) if self.should_retry(&e, attempt) => {
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    self.sleep_backoff(None);
-                    let _ = self.reconnect_and_replay();
-                }
-                Err(e) => {
-                    self.in_flight.pop_front();
-                    return Err(e.with_peer(&self.peer));
-                }
-            }
-        }
-    }
-
-    /// One attempt at reading the response batch for frame `expected`.
-    fn recv_batch_frame(
-        &mut self,
-        expected: u64,
-    ) -> Result<Vec<Result<Response, ServeError>>, WireError> {
-        let mut reasm = wire::StreamReassembler::new();
-        loop {
-            let (header, payload) = match wire::read_frame(&mut self.reader) {
-                Ok(frame) => frame,
-                Err(WireError::ConnectionClosed { .. } | WireError::Truncated { .. })
-                    if reasm.in_progress() =>
-                {
-                    return Err(WireError::StreamTruncated)
-                }
-                Err(e) => return Err(e),
-            };
-            match header.kind {
-                FrameKind::Stream => {
-                    if !reasm.in_progress() && header.id != expected {
-                        return Err(WireError::IdMismatch {
-                            expected,
-                            got: header.id,
-                        });
-                    }
-                    match reasm.push(&header, &payload)? {
-                        Some(done) => return wire::decode_response_batch(&done),
-                        None => continue,
-                    }
-                }
-                FrameKind::Response => {
-                    if reasm.in_progress() {
-                        return Err(WireError::StreamTruncated);
-                    }
-                    if header.id != expected {
-                        return Err(WireError::IdMismatch {
-                            expected,
-                            got: header.id,
-                        });
-                    }
-                    return wire::decode_response_batch(&payload);
-                }
-                FrameKind::Error => {
-                    return Err(WireError::Remote(wire::decode_error_payload(&payload)?))
-                }
-                FrameKind::Request => {
-                    return Err(WireError::Malformed(
-                        "server sent a request frame".to_string(),
-                    ))
-                }
-            }
-        }
-    }
-
-    /// Submit one batch and wait for its responses — the network twin of
-    /// [`Server::handle_batch`]. With a retry policy armed, responses
-    /// carrying retryable errors ([`ServeError::retryable`] — shedding,
-    /// internal failures, transient archive I/O) make the whole batch
-    /// back off and resubmit, honoring the server's
-    /// [`ServeError::Overloaded::retry_after_ms`] hint when present;
-    /// read-only semantics make the resubmission safe and the eventual
-    /// responses bit-identical.
-    pub fn batch(
-        &mut self,
-        requests: &[Request],
-    ) -> Result<Vec<Result<Response, ServeError>>, WireError> {
-        let budget = self.config.retry.as_ref().map_or(0, |p| p.max_retries);
-        let mut attempt = 0u32;
-        loop {
-            self.send(requests)?;
-            let responses = self.recv()?;
-            let needs_retry = responses
-                .iter()
-                .any(|r| matches!(r, Err(e) if e.retryable()));
-            if !needs_retry || attempt >= budget {
-                return Ok(responses);
-            }
-            attempt += 1;
-            self.stats.retries += 1;
-            let hint = responses
-                .iter()
-                .filter_map(|r| match r {
-                    Err(ServeError::Overloaded { retry_after_ms }) => {
-                        Some(Duration::from_millis(u64::from(*retry_after_ms)))
-                    }
-                    _ => None,
-                })
-                .max();
-            self.sleep_backoff(hint);
-        }
-    }
-
-    /// Submit one request and wait for its response. The outer error is
-    /// the transport, the inner the request itself.
-    pub fn request(
-        &mut self,
-        request: &Request,
-    ) -> Result<Result<Response, ServeError>, WireError> {
-        let mut responses = self.batch(std::slice::from_ref(request))?;
-        match responses.len() {
-            1 => Ok(responses.pop().expect("one response")),
-            n => Err(WireError::Malformed(format!(
-                "{n} responses to a 1-request batch"
-            ))),
-        }
-    }
-
-    /// Fetch the server's serving counters over the wire.
-    pub fn stats(&mut self) -> Result<ServeStats, WireError> {
-        match self.request(&Request::Stats)? {
-            Ok(Response::Stats(stats)) => Ok(stats),
-            Ok(other) => Err(WireError::Malformed(format!(
-                "stats request answered with {other:?}"
-            ))),
-            Err(e) => Err(WireError::Remote(e.to_string())),
-        }
-    }
-
-    /// Evaluate one derived product server-side — the network twin of a
-    /// [`Request::Product`] through [`Server::handle_batch`]. The result
-    /// is bit-identical to the in-process evaluation of the same
-    /// descriptor.
-    pub fn scenario(&mut self, descriptor: &ProductDescriptor) -> Result<ProductData, WireError> {
-        match self.request(&Request::Product(descriptor.clone()))? {
-            Ok(Response::Product(data)) => Ok(data),
-            Ok(other) => Err(WireError::Malformed(format!(
-                "product request answered with {other:?}"
-            ))),
-            Err(e) => Err(WireError::Remote(e.to_string())),
-        }
-    }
-
-    /// Run a stochastic ensemble server-side: `spec.realizations`
-    /// emulator runs with decorrelated per-realization seeds, returned
-    /// as one raw [`ProductData`] block (the network twin of
-    /// [`Request::Ensemble`]).
-    pub fn ensemble(&mut self, spec: &ScenarioSpec) -> Result<ProductData, WireError> {
-        match self.request(&Request::Ensemble(spec.clone()))? {
-            Ok(Response::Product(data)) => Ok(data),
-            Ok(other) => Err(WireError::Malformed(format!(
-                "ensemble request answered with {other:?}"
-            ))),
-            Err(e) => Err(WireError::Remote(e.to_string())),
-        }
     }
 }
