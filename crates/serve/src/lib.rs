@@ -40,9 +40,9 @@
 //!   [`exaclim_runtime::pool`] worker pool (`EXACLIM_THREADS` bounds serve
 //!   concurrency exactly as it bounds compute),
 //! * [`wire`] — the dependency-free `ECN1` framed wire protocol:
-//!   versioned 24-byte headers, CRC32-protected length-capped payloads,
-//!   a full request/response codec whose round trip is bit-identical,
-//!   and (v3) a zero-copy streaming encoder that cuts large responses
+//!   24-byte headers at a single protocol version, CRC32-protected
+//!   length-capped payloads, a full request/response codec whose round
+//!   trip is bit-identical, and a zero-copy streaming encoder that cuts large responses
 //!   into sequenced, FIN-terminated stream fragments whose payload
 //!   bytes are borrowed straight from the chunk cache's value buffers,
 //! * [`net`] — the TCP front end over [`wire`]: a [`net::NetServer`]
@@ -50,8 +50,8 @@
 //!   over the [`exaclim_runtime::reactor`] (thread count constant in the
 //!   connection count, per-connection back-pressure with memory bounded
 //!   by about one stream fragment, idle reaping, graceful drain via the
-//!   wakeup fd — with a thread-per-connection fallback off unix or
-//!   under `EXACLIM_REACTOR=0`), and a blocking [`net::Client`] with
+//!   wakeup fd; unix only — there is no second server), and a blocking
+//!   [`net::Client`] with
 //!   connection reuse, pipelining, and transparent stream reassembly,
 //! * [`router`] — the scale-out front end: a [`router::Router`] speaks
 //!   ECN1 on both sides, placing `(archive, member)` keys on N backend

@@ -146,7 +146,8 @@ struct Conn {
     stream: TcpStream,
     /// Unparsed request bytes (at most one frame plus whatever the
     /// socket delivered alongside it; read interest is off while a
-    /// batch executes or a response drains).
+    /// batch executes or a response drains). Grows only as bytes
+    /// arrive: a header's claimed payload length reserves nothing.
     buf: Vec<u8>,
     phase: Phase,
     write: Option<Outgoing>,
@@ -179,6 +180,7 @@ impl Conn {
 }
 
 /// What the frame parser decided about the head of `Conn::buf`.
+#[derive(Debug)]
 enum Parsed {
     /// Not enough bytes yet; keep reading.
     NeedMore,
@@ -187,12 +189,12 @@ enum Parsed {
     /// Transport-level violation: answer with an error frame carrying
     /// this id and message, then close.
     Fail { id: u64, msg: String },
-    /// A complete, valid request frame of `total` bytes carrying
-    /// this batch.
+    /// A complete, checksum-valid request frame of `total` bytes: its
+    /// decoded batch, or why the payload failed to decode.
     Request {
         id: u64,
         total: usize,
-        requests: Vec<Request>,
+        requests: Result<Vec<Request>, WireError>,
     },
 }
 
@@ -213,29 +215,18 @@ struct EventLoop {
 /// Launch the server: dispatch workers plus the reactor thread, all
 /// joined by [`NetServerHandle::shutdown`].
 pub(super) fn spawn(server: NetServer) -> NetServerHandle {
-    let NetServer {
-        listener,
-        addr,
-        reactor,
-        shared,
-        config,
-    } = server;
-    let waker = reactor.waker();
-    let dispatch = Arc::new(Dispatch {
-        jobs: Mutex::new((VecDeque::new(), false)),
-        jobs_cv: Condvar::new(),
-        completions: Mutex::new(Vec::new()),
-        waker: reactor.waker(),
-        shared: Arc::clone(&shared),
-    });
-    let workers = if config.dispatch_threads == 0 {
+    let addr = server.addr;
+    let el = EventLoop::new(server);
+    let waker = el.reactor.waker();
+    let shared = Arc::clone(&el.shared);
+    let workers = if el.config.dispatch_threads == 0 {
         exaclim_runtime::pool::global().threads().clamp(1, 8)
     } else {
-        config.dispatch_threads
+        el.config.dispatch_threads
     };
     let mut threads = Vec::with_capacity(workers + 1);
     for i in 0..workers {
-        let d = Arc::clone(&dispatch);
+        let d = Arc::clone(&el.dispatch);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("exaclim-net-dispatch-{i}"))
@@ -243,23 +234,11 @@ pub(super) fn spawn(server: NetServer) -> NetServerHandle {
                 .expect("spawn dispatch worker"),
         );
     }
-    let loop_shared = Arc::clone(&shared);
     threads.push(
         std::thread::Builder::new()
             .name("exaclim-net-reactor".to_string())
             .spawn(move || {
-                let mut el = EventLoop {
-                    reactor,
-                    listener: Some(listener),
-                    accepting: false,
-                    conns: HashMap::new(),
-                    next_token: 1,
-                    scratch: vec![0u8; 64 * 1024],
-                    draining: false,
-                    dispatch,
-                    shared: loop_shared,
-                    config,
-                };
+                let mut el = el;
                 el.run();
                 // No connection can produce work anymore: release the
                 // dispatch workers so the handle can join them.
@@ -276,6 +255,37 @@ pub(super) fn spawn(server: NetServer) -> NetServerHandle {
 }
 
 impl EventLoop {
+    /// The loop over a bound server, with the dispatch queue it feeds
+    /// but no worker threads yet.
+    fn new(server: NetServer) -> Self {
+        let NetServer {
+            listener,
+            reactor,
+            shared,
+            config,
+            ..
+        } = server;
+        let dispatch = Arc::new(Dispatch {
+            jobs: Mutex::new((VecDeque::new(), false)),
+            jobs_cv: Condvar::new(),
+            completions: Mutex::new(Vec::new()),
+            waker: reactor.waker(),
+            shared: Arc::clone(&shared),
+        });
+        Self {
+            reactor,
+            listener: Some(listener),
+            accepting: false,
+            conns: HashMap::new(),
+            next_token: 1,
+            scratch: vec![0u8; 64 * 1024],
+            draining: false,
+            dispatch,
+            shared,
+            config,
+        }
+    }
+
     fn run(&mut self) {
         if let Some(listener) = &self.listener {
             if self
@@ -583,7 +593,7 @@ impl EventLoop {
         if conn.write.is_some() || matches!(conn.phase, Phase::Dispatched) {
             return; // back-pressure: one batch/response at a time
         }
-        match parse_head(conn, &self.shared.stats) {
+        match parse_head(&conn.buf, conn.eof) {
             Parsed::NeedMore => self.sync_interest(token),
             Parsed::CleanClose => self.close_conn(token),
             Parsed::Fail { id, msg } => self.fail_conn(token, id, &msg),
@@ -592,8 +602,16 @@ impl EventLoop {
                 total,
                 requests,
             } => {
-                self.shared
-                    .stats
+                let stats = &self.shared.stats;
+                stats.frames_in.fetch_add(1, Ordering::Relaxed);
+                stats.bytes_in.fetch_add(total as u64, Ordering::Relaxed);
+                let requests = match requests {
+                    Ok(requests) => requests,
+                    // Intact framing, bad payload: the stream may be
+                    // desynced, so report and close.
+                    Err(e) => return self.fail_conn(token, id, &e.to_string()),
+                };
+                stats
                     .requests
                     .fetch_add(requests.len() as u64, Ordering::Relaxed);
                 let conn = self.conns.get_mut(&token).expect("conn just parsed");
@@ -905,29 +923,24 @@ impl EventLoop {
     }
 }
 
-/// Pure frame parser over the head of a connection's buffer. Splits
-/// cleanly from the event loop so the counting/bookkeeping above
-/// stays free of byte-level detail. Counts `frames_in`/`bytes_in`
-/// itself (on complete, checksum-valid request frames).
-fn parse_head(conn: &mut Conn, stats: &NetStatCells) -> Parsed {
-    if conn.buf.len() < HEADER_LEN {
-        return if conn.eof {
-            if conn.buf.is_empty() {
-                Parsed::CleanClose
-            } else {
-                Parsed::Fail {
-                    id: 0,
-                    msg: WireError::Truncated {
-                        context: "frame header",
-                    }
-                    .to_string(),
-                }
-            }
-        } else {
-            Parsed::NeedMore
+/// Pure frame parser over the head of a connection's buffer; `eof`
+/// says whether the peer's write side has closed. Splits cleanly from
+/// the event loop so the bookkeeping above stays free of byte-level
+/// detail. It only reads `buf`: a header claiming a large payload
+/// reserves nothing, so a hostile peer ties up only the bytes it sends.
+fn parse_head(buf: &[u8], eof: bool) -> Parsed {
+    let truncated = |context| Parsed::Fail {
+        id: 0,
+        msg: WireError::Truncated { context }.to_string(),
+    };
+    if buf.len() < HEADER_LEN {
+        return match (eof, buf.is_empty()) {
+            (false, _) => Parsed::NeedMore,
+            (true, true) => Parsed::CleanClose,
+            (true, false) => truncated("frame header"),
         };
     }
-    let header_bytes: [u8; HEADER_LEN] = conn.buf[..HEADER_LEN].try_into().expect("header slice");
+    let header_bytes: [u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("header slice");
     let header = match wire::FrameHeader::decode(&header_bytes) {
         Ok(header) => header,
         Err(e) => {
@@ -938,20 +951,14 @@ fn parse_head(conn: &mut Conn, stats: &NetStatCells) -> Parsed {
         }
     };
     let total = HEADER_LEN + header.len as usize;
-    if conn.buf.len() < total {
-        if conn.eof {
-            return Parsed::Fail {
-                id: 0,
-                msg: WireError::Truncated {
-                    context: "frame payload",
-                }
-                .to_string(),
-            };
-        }
-        conn.buf.reserve(total - conn.buf.len());
-        return Parsed::NeedMore;
+    if buf.len() < total {
+        return if eof {
+            truncated("frame payload")
+        } else {
+            Parsed::NeedMore
+        };
     }
-    let payload = &conn.buf[HEADER_LEN..total];
+    let payload = &buf[HEADER_LEN..total];
     let actual = crc32(payload);
     if actual != header.crc {
         return Parsed::Fail {
@@ -969,17 +976,179 @@ fn parse_head(conn: &mut Conn, stats: &NetStatCells) -> Parsed {
             msg: format!("unexpected frame kind {} from client", header.kind.id()),
         };
     }
-    stats.frames_in.fetch_add(1, Ordering::Relaxed);
-    stats.bytes_in.fetch_add(total as u64, Ordering::Relaxed);
-    match wire::decode_request_batch(payload) {
-        Ok(requests) => Parsed::Request {
-            id: header.id,
-            total,
-            requests,
-        },
-        Err(e) => Parsed::Fail {
-            id: header.id,
-            msg: e.to_string(),
-        },
+    Parsed::Request {
+        id: header.id,
+        total,
+        requests: wire::decode_request_batch(payload),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Catalog, ServeConfig};
+
+    fn request_frame(id: u64) -> Vec<u8> {
+        let payload = wire::encode_request_batch(&[Request::Stats]);
+        wire::encode_frame(FrameKind::Request, id, &payload).unwrap()
+    }
+
+    fn fail_msg(parsed: Parsed) -> (u64, String) {
+        match parsed {
+            Parsed::Fail { id, msg } => (id, msg),
+            other => panic!("expected Fail, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn partial_header_needs_more() {
+        let frame = request_frame(1);
+        for cut in [0, 1, HEADER_LEN - 1] {
+            assert!(matches!(parse_head(&frame[..cut], false), Parsed::NeedMore));
+        }
+        // A whole header with part of its payload waits too.
+        let cut = frame.len() - 1;
+        assert!(matches!(parse_head(&frame[..cut], false), Parsed::NeedMore));
+    }
+
+    #[test]
+    fn eof_between_frames_is_a_clean_close() {
+        assert!(matches!(parse_head(&[], true), Parsed::CleanClose));
+    }
+
+    #[test]
+    fn eof_inside_a_frame_is_truncation() {
+        let frame = request_frame(1);
+        for (cut, context) in [
+            (HEADER_LEN - 1, "frame header"),
+            (frame.len() - 1, "frame payload"),
+        ] {
+            let (id, msg) = fail_msg(parse_head(&frame[..cut], true));
+            assert_eq!(id, 0);
+            assert_eq!(msg, WireError::Truncated { context }.to_string());
+        }
+    }
+
+    #[test]
+    fn bad_magic_fails_from_the_header() {
+        let mut frame = request_frame(1);
+        frame[..4].copy_from_slice(b"HTTP");
+        let (id, msg) = fail_msg(parse_head(&frame[..HEADER_LEN], false));
+        assert_eq!(id, 0);
+        assert_eq!(msg, WireError::BadMagic(*b"HTTP").to_string());
+    }
+
+    #[test]
+    fn versions_2_and_3_are_rejected_before_the_payload() {
+        for old in [2, 3] {
+            let mut frame = request_frame(1);
+            frame[4] = old;
+            let (id, msg) = fail_msg(parse_head(&frame[..HEADER_LEN], false));
+            assert_eq!(id, 0);
+            let want = WireError::Version {
+                got: old,
+                want: wire::VERSION,
+            };
+            assert_eq!(msg, want.to_string());
+        }
+    }
+
+    #[test]
+    fn crc_mismatch_fails() {
+        let mut frame = request_frame(1);
+        let last = frame.len() - 1;
+        frame[last] ^= 0x01;
+        let (id, msg) = fail_msg(parse_head(&frame, false));
+        assert_eq!(id, 0);
+        let want = WireError::ChecksumMismatch {
+            expected: u32::from_le_bytes(frame[20..24].try_into().unwrap()),
+            actual: crc32(&frame[HEADER_LEN..]),
+        };
+        assert_eq!(msg, want.to_string());
+    }
+
+    #[test]
+    fn non_request_kind_echoes_its_frame_id() {
+        let frame = wire::encode_frame(FrameKind::Response, 77, &[]).unwrap();
+        let (id, msg) = fail_msg(parse_head(&frame, false));
+        assert_eq!(id, 77);
+        assert_eq!(msg, "unexpected frame kind 2 from client");
+    }
+
+    #[test]
+    fn undecodable_payload_keeps_its_frame_id() {
+        let frame = wire::encode_frame(FrameKind::Request, 9, &[0xFF; 3]).unwrap();
+        match parse_head(&frame, false) {
+            Parsed::Request {
+                id: 9,
+                total,
+                requests: Err(_),
+            } => assert_eq!(total, frame.len()),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn pipelined_frames_parse_in_order() {
+        let mut buf = request_frame(1);
+        buf.extend_from_slice(&request_frame(2));
+        let mut head = 0;
+        for want in [1, 2] {
+            match parse_head(&buf[head..], false) {
+                Parsed::Request {
+                    id,
+                    total,
+                    requests: Ok(requests),
+                } => {
+                    assert_eq!(id, want);
+                    assert_eq!(requests, vec![Request::Stats]);
+                    head += total;
+                }
+                other => panic!("frame {want}: {other:?}"),
+            }
+        }
+        assert_eq!(head, buf.len());
+        assert!(matches!(parse_head(&buf[head..], false), Parsed::NeedMore));
+    }
+
+    /// A 24-byte header claiming a `MAX_FRAME_PAYLOAD` payload, read
+    /// through the real socket path: the connection buffer holds what
+    /// arrived, not the gigabyte the header claims.
+    #[test]
+    fn hostile_length_claim_reserves_nothing() {
+        let server = Arc::new(Server::new(Catalog::new(), ServeConfig::default()));
+        let bound = NetServer::bind("127.0.0.1:0", server, NetConfig::default()).unwrap();
+        let addr = bound.local_addr();
+        let mut el = EventLoop::new(bound);
+        let mut peer = TcpStream::connect(addr).unwrap();
+        let header = wire::FrameHeader {
+            kind: FrameKind::Request,
+            stream: None,
+            id: 1,
+            len: wire::MAX_FRAME_PAYLOAD,
+            crc: 0,
+        };
+        peer.write_all(&header.encode()).unwrap();
+        peer.write_all(&[0u8; 1000]).unwrap();
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while el.conns.is_empty() {
+            assert!(Instant::now() < deadline, "connection never accepted");
+            el.accept_burst();
+        }
+        let token = *el.conns.keys().next().unwrap();
+        while el.conns[&token].buf.len() < HEADER_LEN + 1000 {
+            assert!(Instant::now() < deadline, "bytes never arrived");
+            el.conn_read(token);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let conn = &el.conns[&token];
+        assert!(matches!(conn.phase, Phase::Reading));
+        assert!(
+            conn.buf.capacity() <= conn.buf.len() + el.scratch.len(),
+            "{} bytes received, {} reserved",
+            conn.buf.len(),
+            conn.buf.capacity()
+        );
     }
 }
