@@ -94,18 +94,13 @@
 //! handle.shutdown();
 //! ```
 
-use crate::error::{ServeError, WireError};
 use crate::router::Router;
-use crate::server::{Request, ServeBackend, Server};
-use crate::wire::{self, FrameKind, HEADER_LEN};
-use parking_lot::Mutex;
+use crate::server::{ServeBackend, Server};
 use server::{Reactor, Waker};
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 mod client;
 /// The event loop: nonblocking frame state machines over the reactor.
@@ -134,17 +129,17 @@ pub struct NetConfig {
     /// than this go out as a sequence of CRC-checked stream frames
     /// instead of one monolithic frame, which is what bounds
     /// per-connection server memory; `0` disables streaming (every
-    /// response is a single [`FrameKind::Response`] frame).
+    /// response is a single [`FrameKind::Response`](crate::wire::FrameKind::Response) frame).
     pub stream_chunk_bytes: usize,
-    /// Overload protection: when this many batches
-    /// are already queued for the dispatch workers, new request frames
-    /// are **shed** — answered immediately with one retryable
-    /// [`ServeError::Overloaded`] per request instead of joining a queue
+    /// Overload protection: when this many batches are already queued
+    /// for the dispatch workers, new request frames are **shed** —
+    /// answered immediately with one retryable
+    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded) per request instead of joining a queue
     /// they would time out in. The connection stays open; a client with
     /// a [`RetryPolicy`] backs off and resubmits. `0` disables shedding.
     pub max_dispatch_backlog: usize,
     /// Backoff hint carried in shed responses'
-    /// [`ServeError::Overloaded::retry_after_ms`].
+    /// [`ServeError::Overloaded::retry_after_ms`](crate::ServeError::Overloaded::retry_after_ms).
     pub shed_retry_after_ms: u32,
 }
 
@@ -165,8 +160,8 @@ impl Default for NetConfig {
 }
 
 /// Point-in-time transport counters of a [`NetServer`] (see
-/// [`NetServerHandle::net_stats`]). Complements [`crate::ServeStats`], which
-/// counts requests; these count connections, frames, and bytes.
+/// [`NetServerHandle::net_stats`]). Complements [`crate::ServeStats`],
+/// which counts requests; these count connections, frames, and bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetStats {
     /// Connections admitted over the server's lifetime.
@@ -212,7 +207,7 @@ pub struct NetStats {
     /// 5–8, 9–16, 17–32, 33–64, 65+.
     pub frames_per_response: [u64; 8],
     /// Requests shed by overload protection: answered
-    /// [`ServeError::Overloaded`] because the dispatch backlog was over
+    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded) because the dispatch backlog was over
     /// [`NetConfig::max_dispatch_backlog`] when their frame arrived.
     pub shed: u64,
     /// Faults injected process-wide since start

@@ -1,11 +1,18 @@
-use super::*;
+use super::{NetConfig, NetServer, NetServerHandle, NetShared};
+use crate::error::{ServeError, WireError};
+use crate::server::Request;
+use crate::wire::{self, FrameKind, HEADER_LEN};
 use exaclim_runtime::reactor::{Interest, Mode, Token};
 pub(super) use exaclim_runtime::reactor::{Reactor, Waker};
 use exaclim_store::crc32;
-use parking_lot::Condvar;
-use std::collections::HashMap;
-use std::io::ErrorKind;
+use parking_lot::{Condvar, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The listener's reactor token; connections count up from 1.
 const LISTENER: Token = Token(0);
@@ -986,7 +993,7 @@ fn parse_head(buf: &[u8], eof: bool) -> Parsed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Catalog, ServeConfig};
+    use crate::{Catalog, ServeConfig, Server};
 
     fn request_frame(id: u64) -> Vec<u8> {
         let payload = wire::encode_request_batch(&[Request::Stats]);

@@ -598,9 +598,10 @@ pub struct FrameStream {
 impl FrameStream {
     /// Stage a response. Streams (fragments of ≈`stream_chunk` payload
     /// bytes) when streaming is enabled (`stream_chunk > 0`) and the body
-    /// exceeds one chunk; otherwise emits a single response frame. Fails up front if the body exceeds
-    /// [`MAX_FRAME_PAYLOAD`] — the cap bounds the *reassembled* payload,
-    /// streamed or not, so both sides agree on what is too large.
+    /// exceeds one chunk; otherwise emits a single response frame. Fails
+    /// up front if the body exceeds [`MAX_FRAME_PAYLOAD`] — the cap
+    /// bounds the *reassembled* payload, streamed or not, so both sides
+    /// agree on what is too large.
     pub fn response(body: ResponseBody, id: u64, stream_chunk: usize) -> Result<Self, WireError> {
         let total = body.total_len();
         if total as u64 > u64::from(MAX_FRAME_PAYLOAD) {
