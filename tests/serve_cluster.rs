@@ -3,8 +3,9 @@
 //! successes, typed per-request errors, deadline verdicts — must be
 //! bit-identical to a single in-process `Server` over the same catalog,
 //! and must *stay* bit-identical when a shard is killed mid-workload
-//! (seeded victim) and its keys fail over to their replicas. Placement skew is pinned by property test: at 128 virtual
-//! nodes no shard owns more than 2× the mean key count.
+//! (seeded victim) and its keys fail over to their replicas. Placement
+//! skew is pinned by property test: at 128 virtual nodes no shard owns
+//! more than 2× the mean key count.
 
 use exaclim::{ClimateEmulator, EmulatorConfig};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
