@@ -18,12 +18,12 @@
 
 use exaclim::{ClimateEmulator, EmulatorConfig};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
-use exaclim_cluster::{Machine, MachineSpec};
+use exaclim_cluster::{simulate_placement, Machine, MachineSpec, PlacementConfig, PlacementReport};
 use exaclim_runtime::{faults, FaultAction, FaultPlan};
 use exaclim_serve::{
-    Catalog, Client, ClientConfig, KeyWeight, NetConfig, NetServer, ProductDescriptor,
-    ProductSource, ProductStat, Request, Response, RetryPolicy, Router, RouterConfig, ScenarioSpec,
-    ServeConfig, Server, ShardSpec, SliceRequest,
+    assign_primaries, Catalog, Client, ClientConfig, NetConfig, NetServer, ProductDescriptor,
+    ProductSource, ProductStat, Request, Response, RetryPolicy, Router, RouterConfig, RouterStats,
+    ScenarioSpec, ServeConfig, Server, ShardSpec, SliceRequest,
 };
 use exaclim_store::{open_file_source, ArchiveWriter, Codec, FieldMeta};
 use std::io::Cursor;
@@ -387,14 +387,13 @@ const CLUSTER_MEMBERS: usize = 64;
 /// scenario measures routing and scatter-gather, not decode).
 const CLUSTER_VPS: usize = 64;
 
-/// Router/cluster counters and the placement simulation's verdict,
-/// recorded from the `serve_cluster` scenario.
+/// Router/cluster counters and the placement simulation's verdict on
+/// the live ring, recorded from the `serve_cluster` scenario.
 struct ClusterCounters {
     shards: usize,
     routed: u64,
     fanout_batches: u64,
     failovers: u64,
-    rebalance_events: u64,
     sim_skew: f64,
     sim_fanout: f64,
     sim_speedup: f64,
@@ -446,22 +445,41 @@ fn cluster_slice_batch(thread: u64) -> Vec<Request> {
         .collect()
 }
 
+/// The placement simulation's verdict on the ring the router routes on:
+/// each shard's primary-key count over the cluster archive's members
+/// (default `RouterConfig` virtual nodes and seed), scored against the
+/// Frontier machine model at the default replication with 64 KiB
+/// responses and `BATCH`-request batches.
+fn simulate_live_ring(labels: &[String]) -> PlacementReport {
+    let config = RouterConfig::default();
+    let keys: Vec<(String, String)> = (0..CLUSTER_MEMBERS)
+        .map(|m| ("a".to_string(), format!("m{m}")))
+        .collect();
+    let mut shard_loads = vec![0.0; labels.len()];
+    for shard in assign_primaries(labels, config.virtual_nodes, config.seed, &keys) {
+        shard_loads[shard] += 1.0;
+    }
+    simulate_placement(
+        &MachineSpec::of(Machine::Frontier),
+        &PlacementConfig {
+            shard_loads,
+            replication: config.replication,
+            avg_request_bytes: 64.0 * 1024.0,
+            requests_per_batch: BATCH,
+        },
+    )
+}
+
 /// Drive the wire workload through a router-backed front end over
 /// `shards` backend `NetServer`s (every shard opens the same archive;
-/// layout chosen by the placement planner). Returns throughput plus the
-/// router's counters and the placement report.
+/// default `RouterConfig` ring). Returns throughput plus the router's
+/// counters and the placement simulation's verdict on its ring.
 fn run_cluster_once(
     archive: &[u8],
     shards: usize,
     threads: usize,
     batches_per_thread: usize,
-) -> (
-    f64,
-    f64,
-    Vec<f64>,
-    exaclim_serve::RouterStats,
-    exaclim_cluster::PlacementReport,
-) {
+) -> (f64, f64, Vec<f64>, RouterStats, PlacementReport) {
     let backends: Vec<_> = (0..shards)
         .map(|_| {
             let mut catalog = Catalog::new();
@@ -477,13 +495,9 @@ fn run_cluster_once(
         .enumerate()
         .map(|(i, h)| ShardSpec::numbered(i, h.addr()))
         .collect();
-    let keys: Vec<KeyWeight> = (0..CLUSTER_MEMBERS)
-        .map(|m| KeyWeight::unit("a", format!("m{m}")))
-        .collect();
-    let machine = MachineSpec::of(Machine::Frontier);
-    let (router, report) =
-        Router::connect_placed(specs, &keys, &machine, RouterConfig::default()).unwrap();
-    let router = Arc::new(router);
+    let labels: Vec<String> = specs.iter().map(|s| s.label.clone()).collect();
+    let report = simulate_live_ring(&labels);
+    let router = Arc::new(Router::connect(specs, RouterConfig::default()).unwrap());
     let front = NetServer::bind_router("127.0.0.1:0", Arc::clone(&router), NetConfig::default())
         .unwrap()
         .spawn();
@@ -573,7 +587,6 @@ fn run_cluster_scenario(
             routed: stats.routed,
             fanout_batches: stats.fanout_batches,
             failovers: stats.failovers,
-            rebalance_events: stats.rebalance_events,
             sim_skew: report.skew,
             sim_fanout: report.fanout,
             sim_speedup: report.speedup_vs_single,
@@ -810,7 +823,7 @@ fn write_json(path: &str, scenarios: &[Scenario], blocks: &JsonBlocks<'_>) {
     let threads_env = std::env::var("EXACLIM_THREADS").unwrap_or_else(|_| "default".to_string());
     let mmap_env = std::env::var("EXACLIM_MMAP").unwrap_or_else(|_| "default".to_string());
     let mut out = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"version\": 7,\n  \
+        "{{\n  \"bench\": \"serve\",\n  \"version\": 8,\n  \
          \"env\": {{\"EXACLIM_THREADS\": \"{threads_env}\", \"EXACLIM_MMAP\": \"{mmap_env}\"}},\n  \
          \"scenarios\": [\n"
     );
@@ -842,7 +855,6 @@ fn write_json(path: &str, scenarios: &[Scenario], blocks: &JsonBlocks<'_>) {
          \"frames_per_response\": [{}]}},\n  \
          \"chaos\": {{\"faults_injected\": {}, \"shed\": {}, \"client_retries\": {}, \"client_reconnects\": {}}},\n  \
          \"cluster\": {{\"shards\": {}, \"routed\": {}, \"fanout_batches\": {}, \"failovers\": {}, \
-         \"rebalance_events\": {}, \
          \"sim\": {{\"skew\": {:.4}, \"fanout\": {:.4}, \"speedup_vs_single\": {:.4}, \"efficiency\": {:.4}}}, \
          \"scaling\": [{}]}}\n}}\n",
         product.hits, product.misses, product.flight_leads, product.flight_waits, product.computes,
@@ -856,7 +868,6 @@ fn write_json(path: &str, scenarios: &[Scenario], blocks: &JsonBlocks<'_>) {
             .join(", "),
         chaos.faults_injected, chaos.shed, chaos.client_retries, chaos.client_reconnects,
         cluster.shards, cluster.routed, cluster.fanout_batches, cluster.failovers,
-        cluster.rebalance_events,
         cluster.sim_skew, cluster.sim_fanout, cluster.sim_speedup, cluster.sim_efficiency,
         cluster
             .scaling
@@ -963,10 +974,10 @@ fn main() {
     };
 
     // Cluster: the wire workload through a consistent-hash router over N
-    // backend shards (placement chosen by the cost-model planner), plus a
-    // 1/2/4-shard scaling sweep. On a shared bench box the measured sweep
-    // is contention-bound; the deterministic scaling claim is the
-    // placement simulation's machine-model prediction.
+    // backend shards (default ring), plus a 1/2/4-shard scaling sweep. On
+    // a shared bench box the measured sweep is contention-bound; the
+    // deterministic scaling claim is the placement simulation's
+    // machine-model prediction for the live ring.
     let cluster = {
         let (scenario, cluster) = run_cluster_scenario(shards, threads, batches);
         scenarios.push(scenario);

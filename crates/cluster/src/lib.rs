@@ -12,10 +12,10 @@
 //!   latency-first vs bandwidth-first ordering (§III.C), and sender- vs
 //!   receiver-side precision conversion on the wire (§V.A),
 //! * [`scaling`] — weak- and strong-scaling drivers (Figure 7),
-//! * [`sim::simulate_placement`] — shard-placement validation for the
-//!   serving cluster: the router front end (`exaclim-serve`) scores a
-//!   proposed key→shard layout (load skew, scatter-gather fan-out,
-//!   predicted scaling) against a [`machines`] spec before adopting it,
+//! * [`sim::simulate_placement`] — a bandwidth model of a key→shard
+//!   layout (load skew, scatter-gather fan-out, predicted scaling)
+//!   against a [`machines`] spec; the `serve_perf` bench scores the
+//!   serving router's ring with it,
 //! * [`costmodel`] — the emulator-design cost model of Figure 1
 //!   (`O(L³T + L⁴)` axisymmetric vs `O(L⁴T + L⁶)` anisotropic).
 //!

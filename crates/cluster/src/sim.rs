@@ -344,9 +344,8 @@ pub fn simulate_cholesky(spec: &MachineSpec, cfg: &SimConfig) -> SimResult {
     }
 }
 
-/// Shard-placement validation input (see [`simulate_placement`]): the
-/// serving layer's proposed key→shard assignment, reduced to what the
-/// timing model needs — per-shard demand, replication factor, and the
+/// Shard-placement input (see [`simulate_placement`]): a key→shard
+/// assignment, reduced to what the timing model needs — per-shard demand, replication factor, and the
 /// shape of a typical scatter-gathered batch.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlacementConfig {
@@ -402,11 +401,10 @@ const REPLICA_CACHE_TAX: f64 = 0.05;
 /// batch completes when its slowest sub-batch does.
 const FANOUT_TAIL_TAX: f64 = 0.03;
 
-/// Validate a proposed key→shard placement before live traffic routes
-/// through it — the serving layer's router calls this (via its
-/// `placement` module) the same way the Cholesky experiments consult
-/// [`simulate_cholesky`] before committing node hours: score in the
-/// model first, adopt only what the model accepts.
+/// Score a key→shard placement in the machine model: load skew,
+/// scatter-gather fan-out, and predicted cluster scaling. The
+/// `serve_perf` bench feeds it the serving router's per-shard key counts
+/// to record the live ring's predicted speedup.
 ///
 /// The model is deliberately bandwidth-first: climate-slice serving is
 /// NIC-bound long before it is flop-bound, so a shard's capacity is its

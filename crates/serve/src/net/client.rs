@@ -113,10 +113,11 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     next_id: u64,
-    /// Oldest-first in-flight batches: `(frame id, requests)`. The
+    /// Oldest-first in-flight batches: `(frame id, request count,
+    /// requests)`. The count is checked against the response batch; the
     /// requests are retained (when a retry policy is armed) so a
     /// reconnect can replay them verbatim.
-    in_flight: VecDeque<(u64, Vec<Request>)>,
+    in_flight: VecDeque<(u64, usize, Vec<Request>)>,
     stats: ClientStats,
     /// Jitter stream state (splitmix64 over [`RetryPolicy::seed`]).
     rng: u64,
@@ -255,7 +256,7 @@ impl Client {
         for entry in self.in_flight.iter_mut() {
             let id = self.next_id;
             self.next_id += 1;
-            let payload = wire::encode_request_batch(&entry.1);
+            let payload = wire::encode_request_batch(&entry.2);
             wire::write_frame_vectored(&mut self.writer, FrameKind::Request, id, &payload)?;
             entry.0 = id;
         }
@@ -290,7 +291,7 @@ impl Client {
                     } else {
                         Vec::new()
                     };
-                    self.in_flight.push_back((id, stored));
+                    self.in_flight.push_back((id, requests.len(), stored));
                     return Ok(id);
                 }
                 Err(e) if self.should_retry(&e, attempt) => {
@@ -314,9 +315,10 @@ impl Client {
     /// the reassembled payload exactly as it would a single response
     /// frame. An error frame is honored even mid-stream; a connection
     /// close or stray response frame mid-stream is
-    /// [`WireError::StreamTruncated`]. With a retry policy armed, a
-    /// retryable transport failure reconnects, replays every in-flight
-    /// batch, and resumes waiting.
+    /// [`WireError::StreamTruncated`]; a response batch whose length
+    /// differs from the request batch's is [`WireError::Malformed`]. With
+    /// a retry policy armed, a retryable transport failure reconnects,
+    /// replays every in-flight batch, and resumes waiting.
     pub fn recv(&mut self) -> Result<Vec<Result<Response, ServeError>>, WireError> {
         if self.in_flight.is_empty() {
             return Err(WireError::Malformed(
@@ -325,8 +327,18 @@ impl Client {
         }
         let mut attempt = 0u32;
         loop {
-            let expected = self.in_flight.front().expect("checked above").0;
-            match self.recv_batch_frame(expected) {
+            let &(expected, count, _) = self.in_flight.front().expect("checked above");
+            let outcome = self.recv_batch_frame(expected).and_then(|responses| {
+                if responses.len() == count {
+                    Ok(responses)
+                } else {
+                    Err(WireError::Malformed(format!(
+                        "{} responses to a {count}-request batch",
+                        responses.len()
+                    )))
+                }
+            });
+            match outcome {
                 Ok(responses) => {
                     self.in_flight.pop_front();
                     return Ok(responses);
@@ -443,12 +455,7 @@ impl Client {
         request: &Request,
     ) -> Result<Result<Response, ServeError>, WireError> {
         let mut responses = self.batch(std::slice::from_ref(request))?;
-        match responses.len() {
-            1 => Ok(responses.pop().expect("one response")),
-            n => Err(WireError::Malformed(format!(
-                "{n} responses to a 1-request batch"
-            ))),
-        }
+        Ok(responses.pop().expect("recv checks the response count"))
     }
 
     /// Fetch the server's serving counters over the wire.

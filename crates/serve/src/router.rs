@@ -28,16 +28,9 @@
 //! each key's next replica. The caller sees the same bytes it would
 //! have seen from the dead shard, not an error frame.
 //!
-//! Placement is validated before it is trusted: construct with
-//! [`Router::connect_placed`] and the layout (virtual-node count,
-//! replication factor) is chosen by [`crate::placement`], which scores
-//! candidates against a machine model
-//! ([`exaclim_cluster::MachineSpec`]) via
-//! [`exaclim_cluster::simulate_placement`] — load skew, scatter-gather
-//! fan-out, predicted scaling — and the router adopts only what the
-//! simulation accepts. [`Router::rebalance`] re-scores with observed
-//! weights at runtime and swaps the ring only for a layout the model
-//! calls balanced, counting [`RouterStats::rebalance_events`].
+//! The ring is fixed for the router's lifetime: [`RouterConfig`] names
+//! its virtual-node count, replication factor, and seed, and
+//! [`assign_primaries`] reproduces its key→shard assignment offline.
 //!
 //! [`Request::Stats`] fans out to every live shard and returns the
 //! field-wise **sum** of their [`ServeStats`]; the router's own
@@ -45,10 +38,8 @@
 
 use crate::error::{ServeError, WireError};
 use crate::net::{Client, ClientConfig, RetryPolicy};
-use crate::placement::{self, KeyWeight};
 use crate::product::ProductSource;
 use crate::server::{CatalogQuery, Reply, Request, Response, ServeBackend, ServeStats};
-use exaclim_cluster::{MachineSpec, PlacementReport};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -148,8 +139,6 @@ pub struct RouterStats {
     pub fanout_batches: u64,
     /// Sub-batches re-routed to a replica after a shard call failed.
     pub failovers: u64,
-    /// Ring swaps adopted by [`Router::rebalance`].
-    pub rebalance_events: u64,
 }
 
 #[derive(Default)]
@@ -157,19 +146,17 @@ struct RouterStatCells {
     routed: AtomicU64,
     fanout_batches: AtomicU64,
     failovers: AtomicU64,
-    rebalance_events: AtomicU64,
 }
 
 /// The seeded consistent-hash ring: `shards × virtual_nodes` points
 /// sorted by hash; a key's replicas are the first `replication` distinct
 /// shards clockwise from the key's hash.
-#[derive(Clone)]
-pub(crate) struct Ring {
+struct Ring {
     /// `(point hash, shard index)`, sorted by hash.
     points: Vec<(u64, u16)>,
     shards: usize,
-    pub(crate) virtual_nodes: usize,
-    pub(crate) replication: usize,
+    virtual_nodes: usize,
+    replication: usize,
     seed: u64,
 }
 
@@ -197,12 +184,7 @@ fn hash_parts(seed: u64, parts: &[&[u8]]) -> u64 {
 }
 
 impl Ring {
-    pub(crate) fn build(
-        labels: &[String],
-        virtual_nodes: usize,
-        replication: usize,
-        seed: u64,
-    ) -> Ring {
+    fn build(labels: &[String], virtual_nodes: usize, replication: usize, seed: u64) -> Ring {
         let virtual_nodes = virtual_nodes.max(1);
         let mut points = Vec::with_capacity(labels.len() * virtual_nodes);
         for (s, label) in labels.iter().enumerate() {
@@ -222,13 +204,13 @@ impl Ring {
     }
 
     /// Hash of a routing key.
-    pub(crate) fn key_hash(&self, archive: &str, member: &str) -> u64 {
+    fn key_hash(&self, archive: &str, member: &str) -> u64 {
         hash_parts(self.seed, &[archive.as_bytes(), member.as_bytes()])
     }
 
     /// The key's preference list: first `replication` distinct shards
     /// clockwise from `hash`.
-    pub(crate) fn replicas(&self, hash: u64) -> Vec<u16> {
+    fn replicas(&self, hash: u64) -> Vec<u16> {
         let mut out = Vec::with_capacity(self.replication);
         if self.points.is_empty() {
             return out;
@@ -245,6 +227,25 @@ impl Ring {
         }
         out
     }
+}
+
+/// Primary-shard index (label order) of every `(archive, member)` key
+/// under the ring a [`Router`] builds over shards labelled `labels` with
+/// [`RouterConfig::virtual_nodes`] and [`RouterConfig::seed`]: where each
+/// key routes while every shard is alive.
+pub fn assign_primaries(
+    labels: &[String],
+    virtual_nodes: usize,
+    seed: u64,
+    keys: &[(String, String)],
+) -> Vec<usize> {
+    let ring = Ring::build(labels, virtual_nodes, 1, seed);
+    keys.iter()
+        .map(|(archive, member)| {
+            let reps = ring.replicas(ring.key_hash(archive, member));
+            usize::from(*reps.first().expect("non-empty ring"))
+        })
+        .collect()
 }
 
 /// One shard's connection pool and liveness state.
@@ -357,7 +358,7 @@ fn add_stats(a: &mut ServeStats, b: &ServeStats) {
 /// The consistent-hash scatter-gather front end (module docs above).
 pub struct Router {
     shards: Vec<Shard>,
-    ring: Mutex<Ring>,
+    ring: Ring,
     config: RouterConfig,
     stats: RouterStatCells,
 }
@@ -366,18 +367,18 @@ impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
             .field("shards", &self.shards.len())
-            .field("replication", &self.ring.lock().replication)
-            .field("virtual_nodes", &self.ring.lock().virtual_nodes)
+            .field("replication", &self.ring.replication)
+            .field("virtual_nodes", &self.ring.virtual_nodes)
             .finish()
     }
 }
 
 impl Router {
-    /// Connect to `shards` with an explicit layout
-    /// ([`RouterConfig::virtual_nodes`] / [`RouterConfig::replication`]
-    /// as given). Each shard is probed with one eager connection, so a
-    /// misaddressed or dead backend fails construction with a
-    /// peer-labelled error instead of failing the first batch.
+    /// Connect to `shards` and route on the ring `config` describes
+    /// ([`RouterConfig::virtual_nodes`], [`RouterConfig::replication`],
+    /// [`RouterConfig::seed`]). Each shard is probed with one eager
+    /// connection, so a misaddressed or dead backend fails construction
+    /// with a peer-labelled error instead of failing the first batch.
     pub fn connect(shards: Vec<ShardSpec>, config: RouterConfig) -> Result<Router, WireError> {
         if shards.is_empty() {
             return Err(WireError::Malformed("router over zero shards".to_string()));
@@ -405,30 +406,10 @@ impl Router {
         }
         Ok(Router {
             shards,
-            ring: Mutex::new(ring),
+            ring,
             config,
             stats: RouterStatCells::default(),
         })
-    }
-
-    /// Connect with a **sim-validated** layout: score candidate ring
-    /// layouts (virtual-node counts, replication factors at or above
-    /// [`RouterConfig::replication`]) for the expected `keys` against
-    /// `machine` via [`exaclim_cluster::simulate_placement`], adopt the
-    /// best balanced one, and return its [`PlacementReport`] alongside
-    /// the router.
-    pub fn connect_placed(
-        shards: Vec<ShardSpec>,
-        keys: &[KeyWeight],
-        machine: &MachineSpec,
-        mut config: RouterConfig,
-    ) -> Result<(Router, PlacementReport), WireError> {
-        let labels: Vec<String> = shards.iter().map(|s| s.label.clone()).collect();
-        let plan = placement::plan_layout(&labels, keys, machine, config.seed, config.replication);
-        config.virtual_nodes = plan.virtual_nodes;
-        config.replication = plan.replication;
-        let router = Self::connect(shards, config)?;
-        Ok((router, plan.report))
     }
 
     /// Number of backend shards.
@@ -454,40 +435,7 @@ impl Router {
             routed: self.stats.routed.load(Ordering::Relaxed),
             fanout_batches: self.stats.fanout_batches.load(Ordering::Relaxed),
             failovers: self.stats.failovers.load(Ordering::Relaxed),
-            rebalance_events: self.stats.rebalance_events.load(Ordering::Relaxed),
         }
-    }
-
-    /// Re-score placement with observed key weights and adopt a better
-    /// layout if the simulation validates one: the ring is swapped (and
-    /// [`RouterStats::rebalance_events`] bumped) only when the plan is
-    /// balanced **and** differs from the current layout. In-flight
-    /// batches finish on the ring they started with; correctness does
-    /// not depend on the ring (every shard serves every key), so a swap
-    /// only moves cache affinity.
-    pub fn rebalance(&self, weights: &[KeyWeight], machine: &MachineSpec) -> PlacementReport {
-        let labels: Vec<String> = self.shards.iter().map(|s| s.spec.label.clone()).collect();
-        let plan = placement::plan_layout(
-            &labels,
-            weights,
-            machine,
-            self.config.seed,
-            self.config.replication,
-        );
-        let differs = {
-            let ring = self.ring.lock();
-            ring.virtual_nodes != plan.virtual_nodes || ring.replication != plan.replication
-        };
-        if plan.report.balanced && differs {
-            *self.ring.lock() = Ring::build(
-                &labels,
-                plan.virtual_nodes,
-                plan.replication,
-                self.config.seed,
-            );
-            self.stats.rebalance_events.fetch_add(1, Ordering::Relaxed);
-        }
-        plan.report
     }
 
     /// Answer one request (a 1-element batch) through the cluster.
@@ -510,18 +458,16 @@ impl Router {
             .routed
             .fetch_add(requests.len() as u64, Ordering::Relaxed);
 
-        // Snapshot each request's preference list under one ring read.
-        let prefs: Vec<Option<Vec<u16>>> = {
-            let ring = self.ring.lock();
-            requests
-                .iter()
-                .map(|r| match route_of(r) {
-                    Route::Key(a, m) => Some(ring.replicas(ring.key_hash(a, m))),
-                    Route::Fixed => Some(ring.replicas(ring.key_hash("", ""))),
-                    Route::All => None,
-                })
-                .collect()
-        };
+        // Each request's preference list (`None` for fan-out ops).
+        let ring = &self.ring;
+        let prefs: Vec<Option<Vec<u16>>> = requests
+            .iter()
+            .map(|r| match route_of(r) {
+                Route::Key(a, m) => Some(ring.replicas(ring.key_hash(a, m))),
+                Route::Fixed => Some(ring.replicas(ring.key_hash("", ""))),
+                Route::All => None,
+            })
+            .collect();
 
         let mut slots: Vec<Option<Result<Response, ServeError>>> = vec![None; requests.len()];
 
@@ -730,6 +676,27 @@ mod tests {
         let ring = Ring::build(&labels(2), 64, 5, 3);
         let reps = ring.replicas(ring.key_hash("a", "m"));
         assert_eq!(reps.len(), 2);
+    }
+
+    #[test]
+    fn primaries_match_the_live_ring() {
+        let keys: Vec<(String, String)> = (0..100)
+            .map(|i| (format!("arc{}", i % 3), format!("member-{i}")))
+            .collect();
+        let labels = labels(4);
+        let primaries = assign_primaries(&labels, 128, 9, &keys);
+        assert_eq!(primaries.len(), keys.len());
+        let ring = Ring::build(&labels, 128, 2, 9);
+        for ((archive, member), &p) in keys.iter().zip(&primaries) {
+            assert_eq!(
+                usize::from(ring.replicas(ring.key_hash(archive, member))[0]),
+                p
+            );
+        }
+        // Every shard owns something at 128 vnodes over 100 keys.
+        for s in 0..4 {
+            assert!(primaries.contains(&s), "shard {s} owns nothing");
+        }
     }
 
     #[test]

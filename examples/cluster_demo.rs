@@ -1,25 +1,23 @@
 //! Sharded-cluster demo: a consistent-hash [`exaclim_serve::Router`]
-//! fronting four backend shards, with cost-model-driven placement, a
-//! mixed workload verified bit-identical against a single in-process
-//! server, and a live shard kill to show replica failover.
+//! fronting four backend shards, a mixed workload verified
+//! bit-identical against a single in-process server, and a live shard
+//! kill to show replica failover.
 //!
 //! ```text
 //! cargo run --release --example cluster_demo
 //! ```
 //!
-//! Flow: four `NetServer` shards open the same catalog on loopback; the
-//! router's layout (virtual nodes, replication) is chosen by
-//! [`exaclim_serve::plan_layout`] — the expected keys are scored against
-//! a Frontier-node machine model via
-//! [`exaclim_cluster::simulate_placement`] before the ring is adopted.
-//! Then one shard dies mid-run and the workload keeps verifying: its
-//! keys fail over to their replicas, bit-identically.
+//! Flow: four `NetServer` shards open the same catalog on loopback and
+//! the router routes on the default ring (128 virtual nodes per shard,
+//! replication 2); [`exaclim_serve::assign_primaries`] shows how many of
+//! 256 member keys each shard owns. Then one shard dies mid-run and the
+//! workload keeps verifying: its keys fail over to their replicas,
+//! bit-identically.
 
 use exaclim::{ClimateEmulator, EmulatorConfig};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
-use exaclim_cluster::{Machine, MachineSpec};
 use exaclim_serve::{
-    Catalog, CatalogQuery, KeyWeight, NetConfig, NetServer, Request, Router, RouterConfig,
+    assign_primaries, Catalog, CatalogQuery, NetConfig, NetServer, Request, Router, RouterConfig,
     ServeConfig, Server, ShardSpec, SliceRequest,
 };
 use exaclim_store::{ArchiveWriter, Codec, FieldMeta};
@@ -110,28 +108,20 @@ fn main() {
         println!("shard {} at {}", s.label, s.addr);
     }
 
-    // --- Placement: score layouts in the model before adopting one -------
-    let mut keys: Vec<KeyWeight> = (0..256)
-        .map(|i| KeyWeight::unit("a", format!("member-{i}")))
+    // --- Placement: the fixed ring's primary keys per shard --------------
+    let config = RouterConfig::default();
+    let labels: Vec<String> = specs.iter().map(|s| s.label.clone()).collect();
+    let keys: Vec<(String, String)> = (0..256)
+        .map(|i| ("a".to_string(), format!("member-{i}")))
         .collect();
-    keys.push(KeyWeight::emulator("em", 64, 128));
-    let machine = MachineSpec::of(Machine::Frontier);
-    let (router, report) =
-        Router::connect_placed(specs, &keys, &machine, RouterConfig::default()).expect("router");
-    println!(
-        "placement: {} shards, skew {:.3}, fan-out {:.2}, predicted {:.2}× single-shard \
-         ({:.0}% efficiency){}",
-        report.shards,
-        report.skew,
-        report.fanout,
-        report.speedup_vs_single,
-        100.0 * report.efficiency,
-        if report.balanced {
-            ""
-        } else {
-            "  [NOT balanced]"
-        },
-    );
+    let mut owned = vec![0usize; SHARDS];
+    for shard in assign_primaries(&labels, config.virtual_nodes, config.seed, &keys) {
+        owned[shard] += 1;
+    }
+    for (label, n) in labels.iter().zip(&owned) {
+        println!("  {label} owns {n} of {} member keys", keys.len());
+    }
+    let router = Router::connect(specs, config).expect("router");
 
     // --- Mixed workload, verified against the single server --------------
     let started = Instant::now();

@@ -9,14 +9,15 @@ use exaclim::{ClimateEmulator, EmulatorConfig};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
 use exaclim_serve::wire::{self, FrameKind, HEADER_LEN, MAX_FRAME_PAYLOAD};
 use exaclim_serve::{
-    Catalog, CatalogQuery, Client, NetConfig, NetServer, NetServerHandle, Request, Response,
-    ServeConfig, Server, SliceRequest, WireError,
+    assign_primaries, Catalog, CatalogQuery, Client, NetConfig, NetServer, NetServerHandle,
+    Request, Response, Router, RouterConfig, ServeConfig, ServeStats, Server, ShardSpec,
+    SliceRequest, WireError,
 };
 use exaclim_store::{open_file_source, ArchiveWriter, Codec, FieldMeta};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::io::{Cursor, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
 const VPS: usize = 10;
@@ -600,4 +601,79 @@ fn header_layout_is_stable() {
         u64::from_le_bytes(frame[8..16].try_into().unwrap()),
         0x0102_0304_0506_0708
     );
+}
+
+/// A misbehaving peer: accepts one connection and answers every request
+/// frame with a batch of exactly `answers` responses, whatever the
+/// request count.
+fn spawn_fixed_count_peer(answers: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let responses = vec![Ok(Response::Stats(ServeStats::default())); answers];
+        let payload = wire::encode_response_batch(&responses);
+        while let Ok((header, _)) = wire::read_frame(&mut stream) {
+            let frame = wire::encode_frame(FrameKind::Response, header.id, &payload).unwrap();
+            if stream.write_all(&frame).is_err() {
+                break;
+            }
+        }
+    });
+    (addr, fake)
+}
+
+/// A response batch whose length differs from the request batch's is a
+/// typed `Malformed` error: too few responses must not leave requests
+/// unanswered, too many must not be dropped silently.
+#[test]
+fn response_count_mismatch_is_malformed() {
+    for (requests, answers) in [(2, 1), (1, 2)] {
+        let (addr, fake) = spawn_fixed_count_peer(answers);
+        let mut client = Client::connect(addr).unwrap();
+        let batch: Vec<Request> = (0..requests).map(|t| slice("t2m", t..t + 1)).collect();
+        let err = client.batch(&batch).unwrap_err();
+        assert!(
+            matches!(err, WireError::Malformed(_)),
+            "{requests} requests answered by {answers}: {err:?}"
+        );
+        drop(client);
+        fake.join().unwrap();
+    }
+}
+
+/// A router shard that answers a 2-request sub-batch with 1 response is
+/// a failed shard, not a router panic: its keys fail over to the live
+/// replica and the caller still gets the single server's answers.
+#[test]
+fn router_fails_over_from_a_short_answering_shard() {
+    let (server, handle) = spawn_server();
+    let config = RouterConfig::default();
+    // Label the fake so it is `t2m`'s primary: the sub-batch hits it first.
+    let keys = [("a".to_string(), "t2m".to_string())];
+    let fake_label = (0..)
+        .map(|i| format!("fake-{i}"))
+        .find(|label| {
+            let labels = [label.clone(), "real".to_string()];
+            assign_primaries(&labels, config.virtual_nodes, config.seed, &keys) == [0]
+        })
+        .unwrap();
+    let (fake_addr, fake) = spawn_fixed_count_peer(1);
+    let shards = vec![
+        ShardSpec {
+            label: fake_label,
+            addr: fake_addr,
+        },
+        ShardSpec {
+            label: "real".to_string(),
+            addr: handle.addr(),
+        },
+    ];
+    let router = Router::connect(shards, config).unwrap();
+    let batch = vec![slice("t2m", 0..4), slice("t2m", 5..9)];
+    assert_eq!(router.handle_batch(&batch), server.handle_batch(&batch));
+    assert_eq!(router.router_stats().failovers, 1);
+    drop(router);
+    fake.join().unwrap();
+    handle.shutdown();
 }
